@@ -38,10 +38,9 @@
 //! 1. zero lost/corrupted responses under concurrent load,
 //! 2. batched throughput ≥ 2.0× single-sample throughput at 4 threads
 //!    (enforced when the machine has ≥ 4 cores, like the kernels gate;
-//!    smaller machines enforce a ≥ 1.2× batching floor instead, loudly,
-//!    pinned to the fp32 lane — with cached or packed weights a single
-//!    core has too little per-request compute left for coalescing to
-//!    amortise, which is exactly the fast-lane point),
+//!    smaller machines enforce a ≥ 1.2× batching floor at 1 thread
+//!    instead, loudly; both forms serve the frozen plan on the default
+//!    lane),
 //! 3. p99 latency under [`P99_BUDGET_US`] on the batched cell,
 //! 4. soak: idle connections cost bounded heap and the healthy client
 //!    holds p99 and bit-exactness,
@@ -50,15 +49,10 @@
 //! 7. fleet: zero corruption across ≥100 hot-swaps, swap p99 under
 //!    [`SWAP_P99_BUDGET_US`], typed eviction under memory pressure,
 //! 8. corruption: every damaged upload quarantined, serving undisturbed,
-//! 9. parity: the same k=4 checkpoint served over the dequant-free
-//!    integer lane must beat the fp32 lane (dequantise every forward) on
-//!    batched single-thread throughput, with every response bit-exact
-//!    (both sessions on the layer-replay path — freezing would delete the
-//!    dequantisation cost this gate measures),
-//! 10. freeze: the compiled frozen plan must be at least as fast as layer
-//!     replay on the same checkpoint and bit-identical to it (the bench
-//!     MLP has no batch norm, so nothing folds and no drift is allowed),
-//! 11. zero-alloc: once warm, a frozen session's `infer_into` steady
+//! 9. int-gemm: a k=4 checkpoint frozen for the dequant-free integer lane
+//!    arms `int-gemm` and serves batched single-thread traffic with every
+//!    response bit-exact, none lost,
+//! 10. zero-alloc: once warm, a frozen session's `infer_into` steady
 //!     state performs **zero** heap allocations per request, proven by
 //!     the counting global allocator.
 
@@ -163,21 +157,11 @@ fn build_session(bits: u32) -> InferenceSession {
     build_session_lane(bits, KernelLane::default())
 }
 
-/// [`build_session`] with an explicit kernel-lane request. The parity
+/// [`build_session`] with an explicit kernel-lane request. The int-gemm
 /// cells pin the lane; every other cell serves on the default cache.
 fn build_session_lane(bits: u32, lane: KernelLane) -> InferenceSession {
-    build_session_opts(bits, lane, true)
-}
-
-/// [`build_session_lane`] with freezing made explicit. The lane-economics
-/// cells (gate 2's single-core form, gate 9's parity pair) pin
-/// `freeze: false` because their claims are about the **layer replay**
-/// kernels — a frozen plan dequantises at compile time, which removes the
-/// very per-request cost those gates measure.
-fn build_session_opts(bits: u32, lane: KernelLane, freeze: bool) -> InferenceSession {
     let blob = build_blob(bits, 11);
-    InferenceSession::from_checkpoint_with_options(&fleet_spec(), &blob, lane, freeze)
-        .expect("session loads")
+    InferenceSession::from_checkpoint_with_lane(&fleet_spec(), &blob, lane).expect("session loads")
 }
 
 /// The [`ModelSpec`] every fleet/corruption checkpoint loads against.
@@ -206,9 +190,12 @@ fn build_blob(bits: u32, seed: u64) -> Vec<u8> {
     checkpoint::save_full(&mut build_net(bits, seed))
 }
 
+/// One client's request samples and their expected output rows.
+type Workload = (Vec<Vec<f32>>, Vec<Vec<f32>>);
+
 /// Deterministic per-client request sets with locally computed expected
 /// outputs (bit-identical by batch invariance).
-fn build_workloads(session: &InferenceSession, n: usize) -> Vec<(Vec<Vec<f32>>, Vec<Vec<f32>>)> {
+fn build_workloads(session: &InferenceSession, n: usize) -> Vec<Workload> {
     (0..n)
         .map(|c| {
             let mut r = rng::substream(997, c as u64);
@@ -289,10 +276,9 @@ fn run_cell(
     policy: &Policy,
     per_client: usize,
     lane: KernelLane,
-    freeze: bool,
 ) -> Row {
     par::set_global_threads(threads);
-    let session = build_session_opts(bits, lane, freeze);
+    let session = build_session_lane(bits, lane);
     let achieved = session.lane();
     let workloads = build_workloads(&session, CLIENTS);
 
@@ -1351,191 +1337,32 @@ fn corruption_cell() -> (Row, bool) {
     )
 }
 
-/// Parity cells: the same k=4 checkpoint served twice at batch8 on one
-/// thread — once over the fp32 lane (weights dequantised on every
-/// forward) and once over the dequant-free integer lane. The integer lane
-/// must win on throughput with zero corrupted or lost responses; this is
-/// the serving-level form of the integer fast lane's headline claim
-/// (DESIGN.md §14), and it is robust to kernel-level noise because the
-/// fp32 lane pays the full bit-unpack dequantisation on every batch.
-///
-/// Both sessions pin `freeze: false`: the claim compares layer-replay
-/// lanes, and a frozen plan would dequantise the fp32 lane's weights at
-/// compile time, deleting the cost this cell exists to measure.
-fn parity_cells(per_client: usize) -> (Row, Row, bool) {
+/// Int-gemm cell: a k=4 checkpoint frozen for the dequant-free integer
+/// lane, served at batch8 on one thread. The plan must arm `int-gemm`
+/// (the bench MLP is all-linear, so every weight step packs a panel) and
+/// complete every request bit-exact with none lost.
+fn int_gemm_cell(per_client: usize) -> (Row, bool) {
+    let mut row = run_cell(4, 1, &POLICIES[1], per_client, KernelLane::IntGemm);
+    row.cell = "int-gemm";
     let mut gate_ok = true;
-    let mut f32_row = run_cell(4, 1, &POLICIES[1], per_client, KernelLane::F32, false);
-    f32_row.cell = "parity";
-    let mut int_row = run_cell(4, 1, &POLICIES[1], per_client, KernelLane::IntGemm, false);
-    int_row.cell = "parity";
-    if int_row.lane != KernelLane::IntGemm.as_str() {
+    if row.lane != KernelLane::IntGemm.as_str() {
+        println!("FAIL: int-gemm session armed lane {}", row.lane);
+        gate_ok = false;
+    }
+    if row.corrupted != 0 || row.lost != 0 || row.ok != row.requests {
         println!(
-            "FAIL: parity session armed lane {}, wanted int-gemm",
-            int_row.lane
+            "FAIL: int-gemm lane completed {}/{} with {} corrupted, {} lost",
+            row.ok, row.requests, row.corrupted, row.lost
         );
         gate_ok = false;
     }
-    for r in [&f32_row, &int_row] {
-        if r.corrupted != 0 || r.lost != 0 || r.ok != r.requests {
-            println!(
-                "FAIL: parity lane {} completed {}/{} with {} corrupted, {} lost",
-                r.lane, r.ok, r.requests, r.corrupted, r.lost
-            );
-            gate_ok = false;
-        }
-    }
-    let ratio = int_row.rps / f32_row.rps.max(1e-9);
-    if int_row.rps >= f32_row.rps {
+    if gate_ok {
         println!(
-            "ok: int-gemm {:.0} req/s ≥ fp32 {:.0} req/s ({ratio:.2}×), every response bit-exact",
-            int_row.rps, f32_row.rps
+            "ok: int-gemm armed, {} responses at {:.0} req/s, every one bit-exact",
+            row.ok, row.rps
         );
-    } else {
-        println!(
-            "FAIL: int-gemm lane {:.0} req/s below fp32 lane {:.0} req/s ({ratio:.2}×)",
-            int_row.rps, f32_row.rps
-        );
-        gate_ok = false;
     }
-    (f32_row, int_row, gate_ok)
-}
-
-/// Frozen-vs-replay cells: the same k=8 checkpoint at the default lane,
-/// once compiled by the freeze/fusion compiler and once on the legacy
-/// layer-replay path, driven in-process on one thread so the comparison
-/// measures the plan (fused kernels, packed panels, arena intermediates)
-/// and not TCP framing. Requests are **single-sample** and the model is a
-/// deep, narrow MLP — the paper's constrained-device serving shape, where
-/// per-layer overhead (tensor allocation, separate bias and activation
-/// passes, dispatch) is commensurate with each layer's tiny GEMM, so the
-/// compiler's fusion and arena planning show up as throughput instead of
-/// vanishing under a 256-wide matmul. The model has no batch norm —
-/// nothing folds — so the frozen plan must be **bit-identical** to
-/// replay, and must not be slower. Timing uses paired interleaved rounds
-/// (same trick as the kernels gate) so a slow scheduling phase penalises
-/// both sides equally.
-fn freeze_cells(iters: usize) -> (Row, Row, bool) {
-    par::set_global_threads(1);
-    let mut gate_ok = true;
-    const FREEZE_DIMS: &[usize] = &[64, 64, 64, 64, 64, 64, 10];
-    let scheme = QuantScheme::fully_quantized(Bitwidth::new(8).expect("valid bitwidth"));
-    let mut net = models::mlp("freeze-bench", FREEZE_DIMS, &scheme, &mut rng::seeded(23))
-        .expect("model builds");
-    let blob = checkpoint::save_full(&mut net);
-    let spec = ModelSpec {
-        arch: ModelArch::Mlp(FREEZE_DIMS.to_vec()),
-        classes: *FREEZE_DIMS.last().expect("dims nonempty"),
-        img_size: 0,
-        width_mult: 1.0,
-    };
-    let replay =
-        InferenceSession::from_checkpoint_with_options(&spec, &blob, KernelLane::default(), false)
-            .expect("session loads");
-    let frozen =
-        InferenceSession::from_checkpoint_with_options(&spec, &blob, KernelLane::default(), true)
-            .expect("session loads");
-    if replay.is_frozen() {
-        println!("FAIL: freeze cell's replay session froze a plan");
-        gate_ok = false;
-    }
-    if !frozen.is_frozen() {
-        println!(
-            "FAIL: freeze cell's frozen session fell back to replay: {:?}",
-            frozen.freeze_reason()
-        );
-        gate_ok = false;
-    }
-
-    let batch = 1usize;
-    let mut r = rng::substream(1997, 0);
-    let samples: Vec<Vec<f32>> = (0..batch)
-        .map(|_| rng::normal(&[FREEZE_DIMS[0]], 1.0, &mut r).into_vec())
-        .collect();
-    let want = replay.infer_samples(&samples).expect("replay forward");
-    let got = frozen.infer_samples(&samples).expect("frozen forward");
-    let bit_exact = want.len() == got.len()
-        && want.iter().zip(&got).all(|(w, g)| {
-            w.len() == g.len() && w.iter().zip(g).all(|(a, b)| a.to_bits() == b.to_bits())
-        });
-    if !bit_exact {
-        println!("FAIL: frozen plan diverged from layer replay on a BN-free model");
-        gate_ok = false;
-    }
-
-    // Warm both paths (arena buffers, dequant caches), then time paired
-    // interleaved rounds.
-    for _ in 0..8 {
-        let _ = replay.infer_samples(&samples);
-        let _ = frozen.infer_samples(&samples);
-    }
-    const ROUNDS: usize = 10;
-    let per_round = iters.div_ceil(ROUNDS).max(1);
-    let mut replay_s = 0.0f64;
-    let mut frozen_s = 0.0f64;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        for _ in 0..per_round {
-            std::hint::black_box(replay.infer_samples(&samples).expect("replay forward"));
-        }
-        replay_s += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        for _ in 0..per_round {
-            std::hint::black_box(frozen.infer_samples(&samples).expect("frozen forward"));
-        }
-        frozen_s += t.elapsed().as_secs_f64();
-    }
-    let total = (ROUNDS * per_round * batch) as u64;
-    let replay_rps = total as f64 / replay_s.max(1e-9);
-    let frozen_rps = total as f64 / frozen_s.max(1e-9);
-    let ratio = frozen_rps / replay_rps.max(1e-9);
-    if frozen_rps >= replay_rps {
-        println!(
-            "ok: frozen {:.0} samples/s ≥ replay {:.0} samples/s ({ratio:.2}×), bit-identical",
-            frozen_rps, replay_rps
-        );
-    } else {
-        println!(
-            "FAIL: frozen plan {:.0} samples/s below layer replay {:.0} samples/s ({ratio:.2}×)",
-            frozen_rps, replay_rps
-        );
-        gate_ok = false;
-    }
-
-    let mk_row = |lane: &'static str, rps: f64, wall_s: f64| Row {
-        cell: "freeze",
-        bits: 8,
-        lane,
-        threads: 1,
-        policy: "inproc1",
-        max_batch: batch,
-        max_delay_us: 0,
-        clients: 1,
-        requests: total,
-        ok: total,
-        shed: 0,
-        deadline_expired: 0,
-        corrupted: if bit_exact { 0 } else { total },
-        lost: 0,
-        refused_accept: 0,
-        idle_reaped: 0,
-        slow_reaped: 0,
-        wall_ms: wall_s * 1e3,
-        rps,
-        p50_us: 0,
-        p90_us: 0,
-        p99_us: 0,
-        mean_batch: batch as f64,
-        swaps: 0,
-        evictions: 0,
-        quarantines: 0,
-        model_unavailable: 0,
-        swap_p99_us: 0,
-    };
-    (
-        mk_row("replay", replay_rps, replay_s),
-        mk_row("frozen", frozen_rps, frozen_s),
-        gate_ok,
-    )
+    (row, gate_ok)
 }
 
 /// Zero-allocation cell: the frozen plan's headline mechanical claim —
@@ -1548,13 +1375,6 @@ fn freeze_cells(iters: usize) -> (Row, Row, bool) {
 fn zero_alloc_cell() -> bool {
     par::set_global_threads(1);
     let session = build_session(8);
-    if !session.is_frozen() {
-        println!(
-            "FAIL: zero-alloc cell needs a frozen session: {:?}",
-            session.freeze_reason()
-        );
-        return false;
-    }
     let batch = 8usize;
     let mut r = rng::substream(2003, 0);
     let input = rng::normal(&[batch * DIMS[0]], 1.0, &mut r).into_vec();
@@ -1731,47 +1551,21 @@ fn write_outputs(rows: &[Row]) {
 fn smoke() -> bool {
     let mut ok = true;
     let cores = par::default_threads();
+    // With ≥ 4 cores a coalesced batch parallelises across the pool and
+    // the strict form holds; on one core batching pays only by
+    // amortising per-forward work, so a looser floor applies. Both forms
+    // serve what ships by default — the frozen plan on the default lane.
     let gate_threads = if cores >= 4 { 4 } else { 1 };
-    // On one core, batching pays only by amortising per-forward compute.
-    // The cached/packed lanes leave so little per-request work that the
-    // floor stops being meaningful there, so the single-core form pins
-    // the fp32 lane, where the dequantisation traversal is the thing a
-    // coalesced batch amortises — the same path the gate has always
-    // measured. With ≥ 4 cores the batch parallelises across the pool
-    // and the strict form holds on the default lane.
-    // The single-core fallback also disables freezing: its floor leans on
-    // the fp32 lane's per-request dequantisation, which a frozen plan
-    // folds away at compile time. The ≥4-core strict form runs on what
-    // ships by default — the frozen plan on the default lane.
-    let (gate_lane, gate_freeze) = if cores >= 4 {
-        (KernelLane::default(), true)
-    } else {
-        (KernelLane::F32, false)
-    };
+    let lane = KernelLane::default();
     let per_client = 100;
 
     println!(
-        "# smoke cells: single vs batched @ k=8, {gate_threads} thread(s), {} lane{}",
-        gate_lane.as_str(),
-        if gate_freeze { "" } else { ", layer replay" }
+        "# smoke cells: single vs batched @ k=8, {gate_threads} thread(s), {} lane",
+        lane.as_str()
     );
-    let single = run_cell(
-        8,
-        gate_threads,
-        &POLICIES[0],
-        per_client,
-        gate_lane,
-        gate_freeze,
-    );
+    let single = run_cell(8, gate_threads, &POLICIES[0], per_client, lane);
     print_row(&single);
-    let batched = run_cell(
-        8,
-        gate_threads,
-        &POLICIES[1],
-        per_client,
-        gate_lane,
-        gate_freeze,
-    );
+    let batched = run_cell(8, gate_threads, &POLICIES[1], per_client, lane);
     print_row(&batched);
 
     // Gate 1: nothing lost or corrupted under concurrent load.
@@ -1880,40 +1674,15 @@ fn smoke() -> bool {
     }
     ok &= corrupt_ok;
 
-    println!(
-        "# smoke gate 9: parity — k=4 int-gemm lane ≥ fp32 lane rps at batch8, 1 thread, \
-         zero corrupted/lost"
-    );
-    let (parity_f32, parity_int, parity_ok) = parity_cells(per_client);
-    print_row(&parity_f32);
-    print_row(&parity_int);
-    ok &= parity_ok;
+    println!("# smoke gate 9: int-gemm — k=4 plan arms int-gemm at batch8, 1 thread, zero corrupted/lost");
+    let (int_gemm, int_gemm_ok) = int_gemm_cell(per_client);
+    print_row(&int_gemm);
+    ok &= int_gemm_ok;
 
-    println!(
-        "# smoke gate 10: freeze — compiled plan ≥ layer replay samples/s, bit-identical \
-         (k=8, single-sample in-process, 1 thread)"
-    );
-    let (freeze_replay, freeze_frozen, freeze_ok) = freeze_cells(2000);
-    print_row(&freeze_replay);
-    print_row(&freeze_frozen);
-    ok &= freeze_ok;
-
-    println!("# smoke gate 11: zero heap allocations per request on the frozen path");
+    println!("# smoke gate 10: zero heap allocations per request on the frozen path");
     ok &= zero_alloc_cell();
 
-    write_outputs(&[
-        single,
-        batched,
-        soak,
-        slow,
-        over,
-        fleet,
-        corrupt,
-        parity_f32,
-        parity_int,
-        freeze_replay,
-        freeze_frozen,
-    ]);
+    write_outputs(&[single, batched, soak, slow, over, fleet, corrupt, int_gemm]);
     ok
 }
 
@@ -1944,25 +1713,13 @@ fn main() {
         for &threads in &[1usize, 2, 4] {
             for policy in POLICIES {
                 for &lane in lanes {
-                    let row = run_cell(bits, threads, policy, 150, lane, true);
+                    let row = run_cell(bits, threads, policy, 150, lane);
                     print_row(&row);
                     rows.push(row);
                 }
             }
         }
     }
-    println!("# parity cells: fp32 lane vs dequant-free integer lane on the same k=4 model");
-    let (parity_f32, parity_int, _) = parity_cells(150);
-    print_row(&parity_f32);
-    print_row(&parity_int);
-    rows.push(parity_f32);
-    rows.push(parity_int);
-    println!("# freeze cells: compiled plan vs layer replay on the same k=8 model");
-    let (freeze_replay, freeze_frozen, _) = freeze_cells(4000);
-    print_row(&freeze_replay);
-    print_row(&freeze_frozen);
-    rows.push(freeze_replay);
-    rows.push(freeze_frozen);
     println!("# robustness cells: soak / slowloris / overload / fleet / corruption");
     let (soak, _) = soak_cell(150);
     print_row(&soak);

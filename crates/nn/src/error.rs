@@ -34,9 +34,8 @@ pub enum NnError {
         reason: String,
     },
     /// A layer (or layer configuration) cannot be lowered into a frozen
-    /// inference plan. Callers treat this as a *typed fallback signal* —
-    /// serving degrades to the per-layer replay path and records the
-    /// reason — never as a fatal load error.
+    /// inference plan. The plan is the only inference executor, so a
+    /// serving load fails with this error, naming the layer.
     Unfreezable {
         /// Name of the layer that refused to lower.
         layer: String,

@@ -1,5 +1,4 @@
-use crate::{Param, ParamStore};
-use apt_quant::WeightPanel;
+use crate::Param;
 use apt_tensor::Tensor;
 
 /// Whether a forward pass is part of training (batch-norm uses batch
@@ -14,29 +13,27 @@ pub enum Mode {
     Eval,
 }
 
-/// Which compute kernels a frozen network's serving forwards use.
+/// Which compute kernels a frozen plan's weight steps use.
 ///
-/// A lane is armed once per session load via
-/// [`Network::prepare_inference`](crate::Network::prepare_inference); the
-/// training path never consults it, so training keeps its
-/// bit-identical-across-threads invariant untouched.
+/// A lane is chosen once per compile via
+/// [`Network::freeze`](crate::Network::freeze); the training path never
+/// consults it, so training keeps its bit-identical-across-threads
+/// invariant untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelLane {
-    /// No resident plan: weights are dequantised on every forward — the
-    /// exact arithmetic of `forward(input, Mode::Eval)`.
-    F32,
-    /// Dequantise each weight **once** at load and serve from the cached
-    /// f32 tensor. Same arithmetic as [`F32`](Self::F32) — bit-identical —
-    /// at the cost of an f32 weight copy held resident.
+    /// Dequantise each weight **once** at compile time and serve from the
+    /// cached f32 copy — the exact arithmetic of
+    /// `forward(input, Mode::Eval)`, at the cost of an f32 weight copy
+    /// held resident.
     #[default]
     DequantCache,
-    /// The dequant-free integer lane: weights stay integer codes, packed
-    /// once into [`apt_quant::WeightPanel`]s and multiplied through the
-    /// fused `apt_tensor::ops::int_gemm` kernels against per-row 8-bit
+    /// The dequant-free integer lane: linear weights stay integer codes,
+    /// packed once into [`apt_quant::WeightPanel`]s and multiplied through
+    /// the fused `apt_tensor::ops::int_gemm` kernels against per-row 8-bit
     /// requantised activations. Bit-*close* (weight side exact, activation
-    /// rounding ≤ εx/2 per element), not bit-exact. Layers that cannot
-    /// build a panel (float/master-copy/projected storage, `k > 16`) fall
-    /// back per-layer to [`DequantCache`](Self::DequantCache).
+    /// rounding ≤ εx/2 per element), not bit-exact. Weights that cannot
+    /// build a panel (float/master-copy/projected storage, `k > 16`) and
+    /// every convolution compile to [`DequantCache`](Self::DequantCache).
     IntGemm,
 }
 
@@ -45,7 +42,6 @@ impl KernelLane {
     /// logs.
     pub fn as_str(self) -> &'static str {
         match self {
-            KernelLane::F32 => "fp32",
             KernelLane::DequantCache => "dequant-cache",
             KernelLane::IntGemm => "int-gemm",
         }
@@ -54,96 +50,9 @@ impl KernelLane {
     /// Parses a name produced by [`as_str`](Self::as_str).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "fp32" => Some(KernelLane::F32),
             "dequant-cache" => Some(KernelLane::DequantCache),
             "int-gemm" => Some(KernelLane::IntGemm),
             _ => None,
-        }
-    }
-
-    /// The weaker of two achieved lanes, ordered by how much of the
-    /// dequant-free machinery is engaged: `F32 < DequantCache < IntGemm`.
-    /// A composite block that armed `IntGemm` on one conv but fell back to
-    /// the cache on another reports the fallback.
-    pub fn weakest(self, other: Self) -> Self {
-        let rank = |l: Self| match l {
-            KernelLane::F32 => 0u8,
-            KernelLane::DequantCache => 1,
-            KernelLane::IntGemm => 2,
-        };
-        if rank(other) < rank(self) {
-            other
-        } else {
-            self
-        }
-    }
-}
-
-/// The per-layer serving state armed by [`Layer::prepare_inference`].
-#[derive(Debug, Clone, Default)]
-pub(crate) enum InferPlan {
-    /// No plan: dequantise on every forward (the [`KernelLane::F32`] lane).
-    #[default]
-    None,
-    /// [`KernelLane::DequantCache`]: the weight's f32 value, materialised
-    /// once at arm time.
-    Cached(Tensor),
-    /// [`KernelLane::IntGemm`]: packed centered weight codes plus the
-    /// pre-extracted f32 bias for the fused rescale.
-    Int {
-        /// GEMM-ready integer panel (codes + per-channel rescale metadata).
-        panel: WeightPanel,
-        /// Bias values, pulled out of the `Param` once.
-        bias: Option<Vec<f32>>,
-    },
-}
-
-impl InferPlan {
-    /// The lane this plan actually serves.
-    pub(crate) fn lane(&self) -> KernelLane {
-        match self {
-            InferPlan::None => KernelLane::F32,
-            InferPlan::Cached(_) => KernelLane::DequantCache,
-            InferPlan::Int { .. } => KernelLane::IntGemm,
-        }
-    }
-
-    /// Extra bytes this plan keeps resident beyond the parameters.
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        match self {
-            InferPlan::None => 0,
-            InferPlan::Cached(w) => w.len() as u64 * 4,
-            InferPlan::Int { panel, bias } => {
-                panel.resident_bytes() + bias.as_ref().map_or(0, |b| b.len() as u64 * 4)
-            }
-        }
-    }
-}
-
-/// Builds the inference plan for a weight parameter viewed as a
-/// `[rows × cols]` GEMM operand. `IntGemm` requests degrade to the
-/// dequant cache whenever a panel cannot be built (non-integer storage,
-/// `k > 16`, rows too long for the `i8` dot tier); the caller reads the
-/// achieved lane off the returned plan.
-pub(crate) fn arm_weight_plan(
-    weight: &Param,
-    lane: KernelLane,
-    rows: usize,
-    cols: usize,
-) -> InferPlan {
-    match lane {
-        KernelLane::F32 => InferPlan::None,
-        KernelLane::DequantCache => InferPlan::Cached(weight.value()),
-        KernelLane::IntGemm => {
-            let panel = match weight.store() {
-                ParamStore::Quantized(q) => WeightPanel::from_quantized(q, rows, cols),
-                ParamStore::PerChannel(pc) => WeightPanel::from_per_channel(pc, rows, cols),
-                _ => None,
-            };
-            match panel {
-                Some(panel) => InferPlan::Int { panel, bias: None },
-                None => InferPlan::Cached(weight.value()),
-            }
         }
     }
 }
@@ -169,58 +78,17 @@ pub trait Layer: Send + Sync {
     /// Unique (within the network) layer name, e.g. `"stage1.block0.conv1"`.
     fn name(&self) -> &str;
 
-    /// Runs the layer on `input`, caching activations when `mode` is
-    /// [`Mode::Train`].
-    ///
-    /// In [`Mode::Eval`] this MUST be equivalent to
-    /// [`forward_inference`](Layer::forward_inference) — same output bits,
-    /// no mutation of training scratch (activation caches, MAC counters).
+    /// Runs the layer on `input`. In [`Mode::Train`] it caches the
+    /// activations [`backward`](Layer::backward) needs and records its MAC
+    /// count; in [`Mode::Eval`] it runs the evaluation arithmetic
+    /// (batch-norm running statistics, quantised grids) and mutates no
+    /// training scratch. `forward(input, Mode::Eval)` is the reference
+    /// oracle the frozen plan is differentially tested against.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError`] for shape mismatches.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor>;
-
-    /// Runs the layer through a **shared** reference: evaluation-mode
-    /// arithmetic (batch-norm running statistics, quantised grids), no
-    /// activation caching, no gradient bookkeeping, no MAC accounting.
-    ///
-    /// This is the serving hot path: because it takes `&self`, a frozen
-    /// network can execute concurrent inferences through an `Arc` without
-    /// locks. Unless an approximation lane was explicitly armed via
-    /// [`prepare_inference`](Layer::prepare_inference) with
-    /// [`KernelLane::IntGemm`], the output is bit-identical to
-    /// `forward(input, Mode::Eval)` by contract (the serve crate's
-    /// differential tests enforce this); the integer lane is bit-close
-    /// with a documented bound instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NnError`] for shape mismatches.
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor>;
-
-    /// Arms (or clears) this layer's serving plan for `lane`, returning
-    /// the lane the layer actually achieved — a layer that cannot build an
-    /// integer panel degrades to [`KernelLane::DequantCache`], and
-    /// pass-through layers (activations, pooling, batch-norm) are exact in
-    /// any lane so they echo the request back. Called once per session
-    /// load, never on the training path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NnError`] when plan construction fails outright
-    /// (composite layers propagate child errors).
-    fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        Ok(lane)
-    }
-
-    /// Extra bytes the armed inference plan keeps resident (cached f32
-    /// weights or packed integer panels). Counted into
-    /// [`Network::resident_bytes`](crate::Network::resident_bytes) so
-    /// serving eviction budgets stay honest. Layers without plans return 0.
-    fn plan_resident_bytes(&self) -> u64 {
-        0
-    }
 
     /// Back-propagates `grad_output`, accumulating parameter gradients and
     /// returning the gradient w.r.t. the layer input.
@@ -265,9 +133,9 @@ pub trait Layer: Send + Sync {
     /// adds).
     ///
     /// The default implementation returns
-    /// [`NnError::Unfreezable`](crate::NnError::Unfreezable), which callers
-    /// of [`Network::freeze`](crate::Network::freeze) treat as a typed
-    /// per-model fallback signal, not a fatal error.
+    /// [`NnError::Unfreezable`](crate::NnError::Unfreezable): the frozen
+    /// plan is the only inference executor, so a network with such a
+    /// layer fails to load for serving with an error naming the layer.
     ///
     /// # Errors
     ///
@@ -299,23 +167,11 @@ mod tests {
 
     #[test]
     fn lane_names_round_trip() {
-        for lane in [
-            KernelLane::F32,
-            KernelLane::DequantCache,
-            KernelLane::IntGemm,
-        ] {
+        for lane in [KernelLane::DequantCache, KernelLane::IntGemm] {
             assert_eq!(KernelLane::parse(lane.as_str()), Some(lane));
         }
         assert_eq!(KernelLane::parse("turbo"), None);
+        assert_eq!(KernelLane::parse("fp32"), None);
         assert_eq!(KernelLane::default(), KernelLane::DequantCache);
-    }
-
-    #[test]
-    fn weakest_orders_lanes() {
-        use KernelLane::*;
-        assert_eq!(IntGemm.weakest(DequantCache), DequantCache);
-        assert_eq!(DequantCache.weakest(IntGemm), DequantCache);
-        assert_eq!(F32.weakest(IntGemm), F32);
-        assert_eq!(IntGemm.weakest(IntGemm), IntGemm);
     }
 }

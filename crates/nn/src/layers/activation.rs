@@ -24,16 +24,11 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let y = input.map(|x| x.max(0.0));
-        self.cached_input = Some(input.clone());
+        if mode == Mode::Train {
+            self.cached_input = Some(input.clone());
+        }
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(input.map(|x| x.max(0.0)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -79,16 +74,11 @@ impl Layer for Relu6 {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let y = input.map(|x| x.clamp(0.0, 6.0));
-        self.cached_input = Some(input.clone());
+        if mode == Mode::Train {
+            self.cached_input = Some(input.clone());
+        }
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(input.map(|x| x.clamp(0.0, 6.0)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -66,22 +66,17 @@ impl Layer for ActQuant {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
-        let y = self.forward_inference(input)?;
-        self.cached_input = Some(input.clone());
-        Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
         let alpha = self.clip_value().max(f32::MIN_POSITIVE);
         let steps = self.bits.num_steps() as f32;
         let eps = alpha / steps;
-        Ok(input.map(|x| {
+        let y = input.map(|x| {
             let clamped = x.clamp(0.0, alpha);
             (clamped / eps).round() * eps
-        }))
+        });
+        if mode == Mode::Train {
+            self.cached_input = Some(input.clone());
+        }
+        Ok(y)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -117,7 +112,7 @@ impl Layer for ActQuant {
     }
 
     fn lower(&self, builder: &mut crate::plan::PlanBuilder) -> crate::Result<()> {
-        // Same grid derivation as `forward_inference`, captured at compile
+        // Same grid derivation as `forward`, captured at compile
         // time — freezing snapshots the learned clip.
         let alpha = self.clip_value().max(f32::MIN_POSITIVE);
         let eps = alpha / self.bits.num_steps() as f32;

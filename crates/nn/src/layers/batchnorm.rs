@@ -157,10 +157,11 @@ impl Layer for BatchNorm2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         self.check_input(input)?;
+        if mode == Mode::Eval {
+            let (xhat, _) = self.normalize(input, &self.running_mean, &self.running_var);
+            return Ok(self.affine(&xhat));
+        }
         let (mean, var) = reduce::channel_mean_var(input)?;
         // running = (1−m)·running + m·batch
         for ch in 0..self.channels {
@@ -177,12 +178,6 @@ impl Layer for BatchNorm2d {
             dims: input.dims().to_vec(),
         });
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        self.check_input(input)?;
-        let (xhat, _) = self.normalize(input, &self.running_mean, &self.running_var);
-        Ok(self.affine(&xhat))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

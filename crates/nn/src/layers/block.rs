@@ -1,5 +1,5 @@
 use crate::layers::{BatchNorm2d, Conv2d, Relu};
-use crate::{KernelLane, Layer, Mode, NnError, Param, ParamKind, QuantScheme};
+use crate::{Layer, Mode, NnError, Param, ParamKind, QuantScheme};
 use apt_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
 
@@ -112,9 +112,6 @@ impl Layer for BasicBlock {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let mut main = self.conv1.forward(input, mode)?;
         main = self.bn1.forward(&main, mode)?;
         main = self.relu1.forward(&main, mode)?;
@@ -132,46 +129,10 @@ impl Layer for BasicBlock {
             reason: format!("residual add failed: {e}"),
         })?;
         let out = sum.map(|x| x.max(0.0));
-        self.cached_sum = Some(sum);
-        Ok(out)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let mut main = self.conv1.forward_inference(input)?;
-        main = self.bn1.forward_inference(&main)?;
-        main = self.relu1.forward_inference(&main)?;
-        main = self.conv2.forward_inference(&main)?;
-        main = self.bn2.forward_inference(&main)?;
-        let sc = match &self.shortcut {
-            Some((conv_s, bn_s)) => {
-                let s = conv_s.forward_inference(input)?;
-                bn_s.forward_inference(&s)?
-            }
-            None => input.clone(),
-        };
-        let sum = ops::add(&main, &sc).map_err(|e| NnError::BadInput {
-            layer: self.name.clone(),
-            reason: format!("residual add failed: {e}"),
-        })?;
-        Ok(sum.map(|x| x.max(0.0)))
-    }
-
-    fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        let mut achieved = self.conv1.prepare_inference(lane)?;
-        achieved = achieved.weakest(self.conv2.prepare_inference(lane)?);
-        if let Some((conv_s, _)) = &mut self.shortcut {
-            achieved = achieved.weakest(conv_s.prepare_inference(lane)?);
+        if mode == Mode::Train {
+            self.cached_sum = Some(sum);
         }
-        Ok(achieved)
-    }
-
-    fn plan_resident_bytes(&self) -> u64 {
-        self.conv1.plan_resident_bytes()
-            + self.conv2.plan_resident_bytes()
-            + self
-                .shortcut
-                .as_ref()
-                .map_or(0, |(c, _)| c.plan_resident_bytes())
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -1,5 +1,5 @@
 use crate::layers::{BatchNorm2d, Conv2d, Relu6};
-use crate::{KernelLane, Layer, Mode, NnError, Param, ParamKind, QuantScheme};
+use crate::{Layer, Mode, NnError, Param, ParamKind, QuantScheme};
 use apt_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
 
@@ -121,9 +121,6 @@ impl Layer for InvertedResidual {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let mut h = input.clone();
         if let Some((conv, bn, relu6)) = &mut self.expand {
             h = conv.forward(&h, mode)?;
@@ -143,48 +140,10 @@ impl Layer for InvertedResidual {
         } else {
             h
         };
-        self.forwarded = true;
+        if mode == Mode::Train {
+            self.forwarded = true;
+        }
         Ok(out)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let mut h = input.clone();
-        if let Some((conv, bn, relu6)) = &self.expand {
-            h = conv.forward_inference(&h)?;
-            h = bn.forward_inference(&h)?;
-            h = relu6.forward_inference(&h)?;
-        }
-        h = self.depthwise.forward_inference(&h)?;
-        h = self.bn_dw.forward_inference(&h)?;
-        h = self.relu_dw.forward_inference(&h)?;
-        h = self.project.forward_inference(&h)?;
-        h = self.bn_proj.forward_inference(&h)?;
-        if self.use_skip {
-            Ok(ops::add(&h, input).map_err(|e| NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!("skip add failed: {e}"),
-            })?)
-        } else {
-            Ok(h)
-        }
-    }
-
-    fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        let mut achieved = lane;
-        if let Some((conv, _, _)) = &mut self.expand {
-            achieved = achieved.weakest(conv.prepare_inference(lane)?);
-        }
-        achieved = achieved.weakest(self.depthwise.prepare_inference(lane)?);
-        achieved = achieved.weakest(self.project.prepare_inference(lane)?);
-        Ok(achieved)
-    }
-
-    fn plan_resident_bytes(&self) -> u64 {
-        self.expand
-            .as_ref()
-            .map_or(0, |(c, _, _)| c.plan_resident_bytes())
-            + self.depthwise.plan_resident_bytes()
-            + self.project.plan_resident_bytes()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -51,15 +51,6 @@ impl Layer for ZeroPad2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
-        let y = self.forward_inference(input)?;
-        self.cached_dims = Some(input.dims().to_vec());
-        Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
         let dims = input.dims();
         if dims.len() != 4 {
             return Err(NnError::BadInput {
@@ -80,6 +71,9 @@ impl Layer for ZeroPad2d {
                 let d = d0 + (row + p) * ow + p;
                 out[d..d + w].copy_from_slice(&src[s..s + w]);
             }
+        }
+        if mode == Mode::Train {
+            self.cached_dims = Some(dims.to_vec());
         }
         Ok(Tensor::from_vec(out, &[n, c, oh, ow])?)
     }

@@ -27,16 +27,11 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let out = pool::max_pool2d(input, self.k)?;
-        self.cache = Some((out.argmax, input.dims().to_vec()));
+        if mode == Mode::Train {
+            self.cache = Some((out.argmax, input.dims().to_vec()));
+        }
         Ok(out.output)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(pool::max_pool2d(input, self.k)?.output)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -82,16 +77,11 @@ impl Layer for AvgPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let y = pool::avg_pool2d(input, self.k)?;
-        self.cached_dims = Some(input.dims().to_vec());
+        if mode == Mode::Train {
+            self.cached_dims = Some(input.dims().to_vec());
+        }
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(pool::avg_pool2d(input, self.k)?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -136,16 +126,11 @@ impl Layer for GlobalAvgPool {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let y = pool::global_avg_pool(input)?;
-        self.cached_dims = Some(input.dims().to_vec());
+        if mode == Mode::Train {
+            self.cached_dims = Some(input.dims().to_vec());
+        }
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(pool::global_avg_pool(input)?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -3,8 +3,8 @@
 use super::exec::FrozenPlan;
 use super::step::{Step, StepKind, ValueId, WeightSlot};
 use super::{arena, optimize, PlanReport};
-use crate::layer::{arm_weight_plan, InferPlan};
-use crate::{KernelLane, NnError, Param, Result};
+use crate::{KernelLane, NnError, Param, ParamStore, Result};
+use apt_quant::WeightPanel;
 use apt_tensor::ops::conv::Conv2dParams;
 use apt_tensor::ops::fused::Epilogue;
 
@@ -23,8 +23,9 @@ pub struct PlanBuilder {
     /// Per-sample dims of each value.
     values: Vec<Vec<usize>>,
     current: ValueId,
-    /// Achieved lane per weight-carrying step.
-    weight_lanes: Vec<KernelLane>,
+    /// The lane the plan achieves: the requested lane until a weight
+    /// step compiles to the dequant cache.
+    achieved: KernelLane,
     packed_panels: usize,
     /// Name of the layer currently lowering, for error attribution.
     layer: String,
@@ -48,7 +49,7 @@ impl PlanBuilder {
             steps: Vec::new(),
             values: vec![sample_dims.to_vec()],
             current: ValueId(0),
-            weight_lanes: Vec::new(),
+            achieved: lane,
             packed_panels: 0,
             layer: String::new(),
         })
@@ -121,9 +122,9 @@ impl PlanBuilder {
     }
 
     /// Lowers a fully-connected layer `y = x·Wᵀ (+ b)`. The weight is
-    /// armed against the plan's lane at compile time: integer storage
-    /// packs a [`apt_quant::WeightPanel`] here, anything else dequantises
-    /// once into an f32 slot.
+    /// armed against the plan's lane at compile time: under
+    /// [`KernelLane::IntGemm`] integer storage packs a [`WeightPanel`]
+    /// here, anything else dequantises once into an f32 slot.
     ///
     /// # Errors
     ///
@@ -142,26 +143,27 @@ impl PlanBuilder {
                 "linear expects {in_f} input features, value has {flat}"
             )));
         }
-        let slot = match arm_weight_plan(weight, self.lane, out_f, in_f) {
-            InferPlan::Int { panel, .. } => {
+        // Under `IntGemm`, integer storage packs a panel; anything that
+        // cannot (float/master-copy/projected storage, `k > 16`, rows too
+        // long for the `i8` dot tier) compiles to the dequant cache.
+        let panel = match (self.lane, weight.store()) {
+            (KernelLane::IntGemm, ParamStore::Quantized(q)) => {
+                WeightPanel::from_quantized(q, out_f, in_f)
+            }
+            (KernelLane::IntGemm, ParamStore::PerChannel(pc)) => {
+                WeightPanel::from_per_channel(pc, out_f, in_f)
+            }
+            _ => None,
+        };
+        let dequant = weight.value().into_vec();
+        let slot = match panel {
+            Some(panel) => {
                 self.packed_panels += 1;
-                self.weight_lanes.push(KernelLane::IntGemm);
-                WeightSlot::Int {
-                    panel,
-                    dequant: weight.value().into_vec(),
-                }
+                WeightSlot::Int { panel, dequant }
             }
-            InferPlan::Cached(w) => {
-                self.weight_lanes
-                    .push(self.lane.weakest(KernelLane::DequantCache));
-                WeightSlot::F32(w.into_vec())
-            }
-            InferPlan::None => {
-                // F32 lane request: the plan still holds weights resident
-                // (a frozen plan never re-dequantises), but reports the
-                // requested lane honestly.
-                self.weight_lanes.push(KernelLane::F32);
-                WeightSlot::F32(weight.value().into_vec())
+            None => {
+                self.achieved = KernelLane::DequantCache;
+                WeightSlot::F32(dequant)
             }
         };
         let bias = bias.map(|b| b.value().into_vec());
@@ -214,10 +216,8 @@ impl PlanBuilder {
             )));
         }
         let (oh, ow) = (params.out_size(h, kernel), params.out_size(w, kernel));
-        // Conv always compiles f32 weights (see `StepKind::Conv::weight`);
-        // under an IntGemm request it contributes a DequantCache arm.
-        self.weight_lanes
-            .push(self.lane.weakest(KernelLane::DequantCache));
+        // Conv always compiles f32 weights (see `StepKind::Conv::weight`).
+        self.achieved = KernelLane::DequantCache;
         let bias = bias.map(|b| b.value().into_vec());
         self.push_step(
             StepKind::Conv {
@@ -443,11 +443,10 @@ impl PlanBuilder {
     /// lowered a step — there is no output to serve).
     pub fn finish(self) -> Result<FrozenPlan> {
         let PlanBuilder {
-            lane,
             mut steps,
             values,
             current,
-            weight_lanes,
+            achieved,
             packed_panels,
             ..
         } = self;
@@ -460,7 +459,6 @@ impl PlanBuilder {
         let lowered_steps = steps.len();
         let output_value = current;
         let counters = optimize::run(&mut steps, output_value);
-        let achieved = weight_lanes.iter().fold(lane, |acc, &l| acc.weakest(l));
         let value_len: Vec<usize> = values.iter().map(|d| d.iter().product()).collect();
         let layout = arena::plan(&steps, &value_len, output_value);
         let report = PlanReport {

@@ -70,7 +70,8 @@ impl FrozenPlan {
         &self.report
     }
 
-    /// The kernel lane the plan achieved (weakest over weight steps).
+    /// The kernel lane the plan achieved: `IntGemm` only when it was
+    /// requested and every weight step packed an integer panel.
     pub fn lane(&self) -> KernelLane {
         self.lane
     }
@@ -256,7 +257,7 @@ impl FrozenPlan {
                             }
                             // Non-finite activation rows cannot be code-
                             // quantised; fall back to the dequantised
-                            // weights exactly like the layer path does.
+                            // weights so NaN/Inf propagate as in eval.
                             None => fused::linear_bias_act(
                                 src,
                                 dequant,
@@ -375,7 +376,7 @@ impl FrozenPlan {
                 w,
                 pad,
             } => {
-                // Same write pattern as the layer path: zero the border,
+                // Same write pattern as `ZeroPad2d::forward`: zero the border,
                 // copy each interior row — bit-identical by construction.
                 let (src, dst) = rw(buf, s_off, s_len, d_off, d_len);
                 let (oh, ow) = (h + 2 * pad, w + 2 * pad);

@@ -1,9 +1,10 @@
 //! The freeze/fusion compiler: lowers a trained [`Network`](crate::Network)
 //! into an immutable, fused, arena-planned [`FrozenPlan`] for serving.
 //!
-//! The training path replays the mutable `Layer` list; every request pays
-//! BatchNorm as a separate pass, each activation as another, and per-layer
-//! tensor allocation. Freezing compiles that list once at load time:
+//! The plan is the only inference executor. Replaying the mutable `Layer`
+//! list (what `forward(Mode::Eval)` does) pays BatchNorm as a separate
+//! pass, each activation as another, and per-layer tensor allocation.
+//! Freezing compiles that list once at load time:
 //!
 //! 1. **Lowering** — each layer appends typed steps to a [`PlanBuilder`]
 //!    via [`Layer::lower`](crate::Layer::lower); composites (residual

@@ -14,8 +14,8 @@ pub struct ValueId(pub(crate) usize);
 /// How a GEMM weight is held resident in the plan.
 #[derive(Debug, Clone)]
 pub(crate) enum WeightSlot {
-    /// Dequantised once at compile time (the dequant-cache lane, and the
-    /// fp32 lane — a frozen plan never re-dequantises per forward).
+    /// Dequantised once at compile time (the dequant-cache lane — a
+    /// frozen plan never re-dequantises per forward).
     F32(Vec<f32>),
     /// Packed integer panel for the dequant-free lane, plus the f32
     /// dequantisation kept for the NaN-input fallback path (the integer
@@ -24,7 +24,8 @@ pub(crate) enum WeightSlot {
         /// Compile-time-packed codes + per-channel rescale metadata.
         panel: WeightPanel,
         /// `dequant(panel)` — used only when activation rows cannot be
-        /// quantised, mirroring the layer path's fallback.
+        /// quantised, so NaN/Inf propagate exactly as in
+        /// `forward(Mode::Eval)`.
         dequant: Vec<f32>,
     },
 }
@@ -59,10 +60,10 @@ pub(crate) enum StepKind {
     /// 2-D convolution `y = act(conv(x, W) + b)` on NCHW values.
     Conv {
         /// Weight `[c_out, c_in/groups, k, k]`, flattened. Convolutions
-        /// always compile to f32 weights: the integer conv lane stages
-        /// per-group activation panels per forward, which is incompatible
-        /// with the zero-allocation arena contract, so under an `IntGemm`
-        /// request conv steps arm the dequant cache instead.
+        /// always compile to f32 weights: an integer conv would stage
+        /// per-group activation panels per forward, which breaks the
+        /// zero-allocation arena contract, so under an `IntGemm` request
+        /// conv steps arm the dequant cache.
         weight: Vec<f32>,
         /// Per-output-channel bias (folded BatchNorm lands here).
         bias: Option<Vec<f32>>,

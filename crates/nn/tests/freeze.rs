@@ -1,18 +1,24 @@
 //! Differential tests for the freeze/fusion compiler: every backbone in the
 //! zoo, frozen across checkpoint versions and store backends, must agree
-//! with the layer-by-layer evaluation path.
+//! with the one reference oracle, `forward(Mode::Eval)`.
 //!
-//! Agreement comes in two grades:
+//! Agreement comes in three grades:
 //!
-//! * **bit-identical** — plans with no BatchNorm folding (the MLP) replay
-//!   exactly the same float op sequence as the layer path, so the outputs
-//!   must match to the bit at every kernel lane.
+//! * **bit-identical** — dequant-cache plans with no BatchNorm folding
+//!   (the MLP) run exactly the same float op sequence as the eval
+//!   forward, so the outputs must match to the bit.
 //! * **rows-close** — BN folding rescales conv weights at compile time,
 //!   which reassociates the per-channel multiply (`Σ (s·w)·x` vs
 //!   `s·Σ w·x`). That is exact algebra with only float rounding drift, so
 //!   outputs agree to `REL_TOL` relative to each row's max magnitude.
+//! * **within the requant bound** — integer-lane linear steps requantise
+//!   each activation row to an 8-bit grid (weight side exact), so each
+//!   output moves by at most `εx/2 · Σ|ŵ|` plus the deviation its input
+//!   already carried.
 
-use apt_nn::{checkpoint, models, KernelLane, Mode, Network, ParamPrecision, QuantScheme};
+use apt_nn::{
+    checkpoint, models, KernelLane, Mode, Network, ParamKind, ParamPrecision, QuantScheme,
+};
 use apt_tensor::rng::{normal, seeded};
 use apt_tensor::Tensor;
 use proptest::prelude::*;
@@ -78,20 +84,66 @@ fn assert_close(name: &str, expected: &Tensor, got: &Tensor, exact: bool) {
 }
 
 /// Trains one step so BN running stats move off their init, then compares
-/// the frozen plan against `Mode::Eval` layer evaluation.
-fn freeze_and_compare(net: &mut Network, dims: &[usize], lane: KernelLane, exact: bool) {
+/// the dequant-cache frozen plan against `Mode::Eval`.
+fn freeze_and_compare(net: &mut Network, dims: &[usize], exact: bool) {
     let x = normal(dims, 1.0, &mut seeded(11));
     let _ = net.forward(&x, Mode::Train).unwrap();
-    net.prepare_inference(lane).unwrap();
     let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&dims[1..], lane).unwrap();
+    let plan = net.freeze(&dims[1..], KernelLane::DequantCache).unwrap();
     let got = plan.infer(&x).unwrap();
-    assert_close(
-        &format!("{} [{}]", net.name(), lane.as_str()),
-        &expected,
-        &got,
-        exact,
-    );
+    assert_close(net.name(), &expected, &got, exact);
+}
+
+/// Per-element bound on how far an `IntGemm` plan of a linear/ReLU chain
+/// may drift from `forward(Mode::Eval)` on `x`. Each linear requantises
+/// its (already deviated) input row to a zero-widened 8-bit grid, adding
+/// `εx/2 · Σ|ŵ_o|`, and carries the incoming deviation through `Σ|ŵ_o|·δ`;
+/// ReLU is 1-Lipschitz, so deviations pass through it unchanged.
+fn int_lane_bound(net: &Network, x: &Tensor) -> Vec<f32> {
+    let mut layers: Vec<(Tensor, Option<Tensor>)> = Vec::new();
+    net.visit_params_ref(&mut |p| match p.kind() {
+        ParamKind::Weight => layers.push((p.value(), None)),
+        ParamKind::Bias => layers.last_mut().unwrap().1 = Some(p.value()),
+        _ => {}
+    });
+    let mut bounds = Vec::new();
+    for i in 0..x.dims()[0] {
+        let mut act = x.row(i).unwrap().to_vec();
+        let mut dev = vec![0.0f32; act.len()];
+        for (li, (w, b)) in layers.iter().enumerate() {
+            let (out, inp) = (w.dims()[0], w.dims()[1]);
+            let d = dev.iter().fold(0.0f32, |m, &v| m.max(v));
+            let hi = act.iter().fold(0.0f32, |m, &v| m.max(v)) + d;
+            let lo = act.iter().fold(0.0f32, |m, &v| m.min(v)) - d;
+            let eps_x = ((hi - lo) / 255.0).max(1e-12);
+            let mut next = Vec::with_capacity(out);
+            let mut next_dev = Vec::with_capacity(out);
+            for o in 0..out {
+                let row = &w.data()[o * inp..(o + 1) * inp];
+                let bias = b.as_ref().map_or(0.0, |b| b.data()[o]);
+                let y: f32 = row.iter().zip(&act).map(|(w, a)| w * a).sum::<f32>() + bias;
+                let carried: f32 = row.iter().zip(&dev).map(|(w, d)| w.abs() * d).sum();
+                let wsum: f32 = row.iter().map(|w| w.abs()).sum();
+                next.push(if li + 1 < layers.len() { y.max(0.0) } else { y });
+                next_dev.push(carried + 0.5 * eps_x * wsum);
+            }
+            act = next;
+            dev = next_dev;
+        }
+        bounds.extend(dev);
+    }
+    bounds
+}
+
+/// Asserts an `IntGemm` plan output sits within [`int_lane_bound`] of the
+/// eval forward.
+fn assert_within_requant_bound(name: &str, net: &Network, x: &Tensor, want: &Tensor, got: &Tensor) {
+    assert_eq!(want.dims(), got.dims(), "{name}: dims");
+    let bound = int_lane_bound(net, x);
+    for (i, ((&g, &w), &b)) in got.data().iter().zip(want.data()).zip(&bound).enumerate() {
+        let b = b * 1.001 + 1e-4;
+        assert!((g - w).abs() <= b, "{name}: [{i}] {g} vs {w} ± {b}");
+    }
 }
 
 #[test]
@@ -99,22 +151,86 @@ fn frozen_plan_matches_layer_eval_across_backbones_and_schemes() {
     for scheme in [QuantScheme::float32(), QuantScheme::paper_apt()] {
         for (mut net, dims) in zoo(&scheme) {
             let exact = net.name() == "m"; // the MLP has no BN to fold
-            freeze_and_compare(&mut net, &dims, KernelLane::DequantCache, exact);
+            freeze_and_compare(&mut net, &dims, exact);
         }
     }
 }
 
 #[test]
-fn mlp_frozen_is_bit_identical_at_every_lane() {
-    for lane in [
-        KernelLane::F32,
-        KernelLane::DequantCache,
-        KernelLane::IntGemm,
-    ] {
-        let mut net =
-            models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
-        freeze_and_compare(&mut net, &[2, 16], lane, true);
-    }
+fn mlp_frozen_dequant_cache_is_bit_identical() {
+    let mut net =
+        models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
+    freeze_and_compare(&mut net, &[2, 16], true);
+}
+
+#[test]
+fn mlp_frozen_int_gemm_is_within_the_requant_bound() {
+    let mut net =
+        models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
+    let x = normal(&[2, 16], 1.0, &mut seeded(11));
+    let want = net.forward(&x, Mode::Eval).unwrap();
+    let plan = net.freeze(&[16], KernelLane::IntGemm).unwrap();
+    assert_eq!(plan.lane(), KernelLane::IntGemm);
+    assert_eq!(plan.report().packed_panels, 2);
+    let got = plan.infer(&x).unwrap();
+    assert_within_requant_bound("mlp int-gemm", &net, &x, &want, &got);
+}
+
+/// A single 4-bit linear layer `[out × inp]` with an fp32 bias.
+fn quantized_linear_net(out: usize, inp: usize) -> Network {
+    let fc = apt_nn::layers::Linear::new(
+        "fcq",
+        inp,
+        out,
+        ParamPrecision::Quantized(apt_quant::Bitwidth::new(4).unwrap()),
+        Some(ParamPrecision::Float32),
+        &mut seeded(7),
+    )
+    .unwrap();
+    Network::new("fcq", vec![Box::new(fc)])
+}
+
+#[test]
+fn integer_linear_step_is_within_the_requant_bound() {
+    let mut net = quantized_linear_net(6, 16);
+    let x = normal(&[3, 16], 1.0, &mut seeded(9));
+    let want = net.forward(&x, Mode::Eval).unwrap();
+    let plan = net.freeze(&[16], KernelLane::IntGemm).unwrap();
+    assert_eq!(plan.lane(), KernelLane::IntGemm);
+    assert_eq!(plan.report().packed_panels, 1);
+    let got = plan.infer(&x).unwrap();
+    assert_within_requant_bound("fcq", &net, &x, &want, &got);
+}
+
+#[test]
+fn integer_linear_step_falls_back_on_non_finite_input() {
+    let net = quantized_linear_net(4, 8);
+    let plan = net.freeze(&[8], KernelLane::IntGemm).unwrap();
+    assert_eq!(plan.lane(), KernelLane::IntGemm);
+    let mut x = normal(&[2, 8], 1.0, &mut seeded(10));
+    x.data_mut()[3] = f32::NAN;
+    let y = plan.infer(&x).unwrap();
+    assert!(
+        y.data()[..4].iter().any(|v| v.is_nan()),
+        "fallback must propagate NaN, not flush it onto the grid"
+    );
+}
+
+#[test]
+fn float_linear_compiles_to_the_dequant_cache_under_int_gemm() {
+    let mut net = Network::new(
+        "fcf",
+        vec![Box::new(
+            apt_nn::layers::Linear::new("fcf", 3, 2, ParamPrecision::Float32, None, &mut seeded(0))
+                .unwrap(),
+        )],
+    );
+    let x = normal(&[2, 3], 1.0, &mut seeded(1));
+    let want = net.forward(&x, Mode::Eval).unwrap();
+    let plan = net.freeze(&[3], KernelLane::IntGemm).unwrap();
+    assert_eq!(plan.lane(), KernelLane::DequantCache);
+    assert_eq!(plan.report().packed_panels, 0);
+    assert_close("fcf", &want, &plan.infer(&x).unwrap(), true);
 }
 
 #[test]
@@ -200,7 +316,7 @@ fn pad_chains_constant_fold_into_the_conv_bit_identically() {
     );
     let x = normal(&[2, 2, 5, 5], 1.0, &mut seeded(32));
     let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[2, 5, 5], KernelLane::F32).unwrap();
+    let plan = net.freeze(&[2, 5, 5], KernelLane::DequantCache).unwrap();
     let report = plan.report();
     assert_eq!(report.pad_folds, 2, "pad→pad merge plus pad→conv: {report}");
     assert!(
@@ -228,7 +344,7 @@ fn standalone_pad_survives_and_executes_bit_identically() {
     );
     let x = normal(&[2, 3, 4, 4], 1.0, &mut seeded(33));
     let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[3, 4, 4], KernelLane::F32).unwrap();
+    let plan = net.freeze(&[3, 4, 4], KernelLane::DequantCache).unwrap();
     assert_eq!(plan.report().pad_folds, 0);
     assert_eq!(plan.step_mnemonics(), vec!["pad", "maxpool"]);
     let got = plan.infer(&x).unwrap();
@@ -247,9 +363,6 @@ fn unfreezable_layer_reports_typed_reason() {
         fn forward(&mut self, input: &Tensor, _mode: Mode) -> apt_nn::Result<Tensor> {
             Ok(input.clone())
         }
-        fn forward_inference(&self, input: &Tensor) -> apt_nn::Result<Tensor> {
-            Ok(input.clone())
-        }
         fn backward(&mut self, grad: &Tensor) -> apt_nn::Result<Tensor> {
             Ok(grad.clone())
         }
@@ -262,7 +375,7 @@ fn unfreezable_layer_reports_typed_reason() {
         }
     }
     let net = Network::new("n", vec![Box::new(Opaque)]);
-    let err = net.freeze(&[4], KernelLane::F32).unwrap_err();
+    let err = net.freeze(&[4], KernelLane::DequantCache).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("opaque") && msg.contains("frozen"), "{msg}");
 }
@@ -352,7 +465,7 @@ proptest! {
         let mut net = conv_bn_net(c_in, c_out, &gamma, &beta, &mean, &var);
         let x = normal(&[2, c_in, 5, 5], 1.0, &mut r);
         let expected = net.forward(&x, Mode::Eval).unwrap();
-        let plan = net.freeze(&[c_in, 5, 5], KernelLane::F32).unwrap();
+        let plan = net.freeze(&[c_in, 5, 5], KernelLane::DequantCache).unwrap();
         prop_assert_eq!(plan.report().bn_folds, 1);
         let got = plan.infer(&x).unwrap();
         for (&e, &g) in expected.data().iter().zip(got.data()) {

@@ -659,8 +659,8 @@ mod tests {
             let legacy = CodeStore::with_backend(StoreBackend::I64, &codes, b(k));
             assert_eq!(tiered.to_vec(), codes, "k={k}");
             assert_eq!(legacy.to_vec(), codes, "k={k}");
-            for i in 0..codes.len() {
-                assert_eq!(tiered.get(i), codes[i]);
+            for (i, &code) in codes.iter().enumerate() {
+                assert_eq!(tiered.get(i), code);
             }
             let max = b(k).num_steps() as i64;
             assert_eq!(tiered.count_rails(max), legacy.count_rails(max), "k={k}");

@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn single_request_round_trip() {
         let s = session();
-        let want = s.infer_one(&vec![0.3; 5]).unwrap();
+        let want = s.infer_one(&[0.3; 5]).unwrap();
         let batcher = MicroBatcher::new(s, BatchPolicy::default()).unwrap();
         let got = batcher.handle().infer_blocking(vec![0.3; 5]).unwrap();
         assert_eq!(got, want);

@@ -3,16 +3,16 @@
 //! Turns a trained `.aptc` checkpoint into a servable model in three
 //! layers, each usable on its own:
 //!
-//! 1. **[`InferenceSession`]** — loads a checkpoint into an immutable,
-//!    `Arc`-shared frozen network. Packed quantized weights stay resident
-//!    at their physical width; the forward pass uses
-//!    `Network::forward_inference` (no activation caching, no gradient
-//!    bookkeeping) and stages request samples through a recycled
-//!    [`ScratchArena`] so the steady-state hot path does not grow the heap.
-//!    A [`KernelLane`] is armed at load: the default dequant cache keeps
-//!    outputs bit-identical to the trainer's `Mode::Eval` forward, while
-//!    the opt-in `int-gemm` lane serves dequant-free from packed integer
-//!    panels (bit-close, documented bound, faster than fp32 at low `k`).
+//! 1. **[`InferenceSession`]** — loads a checkpoint and compiles it into
+//!    an immutable, `Arc`-shared frozen plan (BN folded, activations
+//!    fused, intermediates arena-planned) — the only inference executor.
+//!    Packed quantized weights stay resident at their physical width, and
+//!    request samples stage through a recycled [`ScratchArena`] so the
+//!    steady-state hot path does not touch the heap. The plan is compiled
+//!    for a [`KernelLane`]: the default dequant cache keeps outputs within
+//!    float reassociation of the trainer's `Mode::Eval` forward, while the
+//!    opt-in `int-gemm` lane serves linear layers dequant-free from packed
+//!    integer panels (bit-close, documented bound).
 //! 2. **[`MicroBatcher`]** — a dynamic micro-batcher that coalesces
 //!    single-sample requests from an MPSC queue under a
 //!    [`BatchPolicy`] (`max_batch` / `max_delay_us`), executes them as one

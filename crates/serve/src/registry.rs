@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 /// Fleet configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegistryConfig {
     /// Resident-bytes budget across all models; `0` means unbounded.
     pub budget_bytes: u64,
@@ -54,26 +54,11 @@ pub struct RegistryConfig {
     /// Architecture used to load checkpoints ingested from files. Blob
     /// ingestion ([`ModelRegistry::ingest_blob`]) carries its own spec.
     pub spec: Option<ModelSpec>,
-    /// Kernel lane armed on every ingested plan (default: the bit-exact
-    /// dequant cache). Panels or cached weights built for the lane are
-    /// part of each plan's resident bytes, so the budget sees them.
+    /// Kernel lane every ingested plan is compiled for (default: the
+    /// bit-exact dequant cache). Panels or cached weights built for the
+    /// lane are part of each plan's resident bytes, so the budget sees
+    /// them.
     pub lane: KernelLane,
-    /// Compile ingested checkpoints into frozen plans (default `true`).
-    /// `false` pins every session to the legacy layer-replay path.
-    pub freeze: bool,
-}
-
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        RegistryConfig {
-            budget_bytes: 0,
-            model_dir: None,
-            quarantine_dir: None,
-            spec: None,
-            lane: KernelLane::default(),
-            freeze: true,
-        }
-    }
 }
 
 /// One registered model's bookkeeping.
@@ -442,15 +427,10 @@ impl ModelRegistry {
     fn validate(&self, spec: &ModelSpec, blob: &[u8]) -> Result<InferenceSession, ServeError> {
         // Rung 1: structural walk — framing, version, CRC, section bounds.
         checkpoint::verify(blob)?;
-        // Rung 2: full decode + construction-time probe, arming the
-        // configured kernel lane and (by default) compiling the frozen
-        // plan — so rung 3's probe exercises the program that will serve.
-        let session = InferenceSession::from_checkpoint_with_options(
-            spec,
-            blob,
-            self.config.lane,
-            self.config.freeze,
-        )?;
+        // Rung 2: full decode, freeze for the configured kernel lane and
+        // a construction-time probe — so rung 3's probe exercises the
+        // program that will serve.
+        let session = InferenceSession::from_checkpoint_with_lane(spec, blob, self.config.lane)?;
         // Rung 3: digest stability — inference must not mutate the plan.
         let before = session.network().integrity_digests();
         let zeros = vec![0.0f32; session.sample_len()];
@@ -476,9 +456,8 @@ impl ModelRegistry {
     ) -> Result<PublishOutcome, ServeError> {
         validate_id(id)?;
         // Session-level residency: parameter stores plus the compiled
-        // plan's packed weights (or the per-layer lane cache on fallback).
+        // plan's weights.
         let bytes = session.resident_bytes();
-        let frozen = session.is_frozen();
         let budget = self.config.budget_bytes;
         if budget > 0 && bytes > budget {
             self.stats.record_model_unavailable();
@@ -525,11 +504,7 @@ impl ModelRegistry {
         if replaced {
             self.stats.record_swap();
         }
-        if frozen {
-            self.stats.record_plan_frozen();
-        } else {
-            self.stats.record_freeze_fallback();
-        }
+        self.stats.record_plan_frozen();
         let evicted = self.evict_to_budget(&mut inner, id);
         self.refresh_gauges(&inner);
         Ok(PublishOutcome {

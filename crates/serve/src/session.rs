@@ -1,26 +1,26 @@
 //! Frozen inference sessions over `.aptc` checkpoints.
 //!
 //! An [`InferenceSession`] is the serving counterpart of the trainer: the
-//! network is loaded once, kept **immutable** behind an `Arc`, and executed
-//! through [`apt_nn::Network::forward_inference`] — evaluation arithmetic,
-//! no activation caching, no gradient or MAC bookkeeping. Quantised
-//! weights stay resident at their physical packed width (the code store is
-//! loaded verbatim from the checkpoint; nothing is inflated to fp32 at
-//! rest).
+//! network is loaded once and compiled into an immutable [`FrozenPlan`]
+//! (BatchNorm folded, activations fused, intermediates arena-planned),
+//! which is the only thing a request ever executes. Both are shared
+//! behind `Arc`s. Quantised weights stay resident at their physical packed
+//! width in the network (the code store is loaded verbatim from the
+//! checkpoint); the network is kept for the registry's integrity digests.
 //!
-//! At load time the session arms a [`KernelLane`] on the network — the
-//! default [`KernelLane::DequantCache`] caches each weight's f32 value once
-//! (bit-exact vs the unarmed forward), while [`KernelLane::IntGemm`] serves
-//! straight from packed integer panels through the fused integer GEMM
-//! kernels (bit-close, documented bound). Whatever the plans keep resident
-//! is counted by [`apt_nn::Network::resident_bytes`], so registry eviction
-//! budgets see the real footprint.
+//! The plan is compiled for a [`KernelLane`]: the default
+//! [`KernelLane::DequantCache`] dequantises each weight once at load (the
+//! arithmetic of `forward(Mode::Eval)`), while [`KernelLane::IntGemm`]
+//! serves linear layers straight from packed integer panels through the
+//! fused integer GEMM kernels (bit-close, documented bound).
+//! [`InferenceSession::resident_bytes`] counts the parameter stores plus
+//! the plan, so registry eviction budgets see the real footprint.
 //!
-//! Input staging goes through a [`ScratchArena`] so steady-state request
-//! handling reuses buffers instead of allocating per call. Layer
-//! intermediates inside ops still allocate; the arena removes the
-//! per-request staging churn on the batcher's hot loop, which is the
-//! allocation the runtime actually controls.
+//! A network that cannot be frozen cannot be served: loading it fails
+//! with the typed [`apt_nn::NnError::Unfreezable`] naming the layer.
+//!
+//! Staging, scratch and output buffers go through a [`ScratchArena`], so
+//! steady-state request handling performs no heap allocation.
 
 use crate::ServeError;
 use apt_nn::{checkpoint, models, FrozenPlan, KernelLane, Network, PlanReport, QuantScheme};
@@ -192,35 +192,29 @@ impl ScratchArena {
     }
 }
 
-/// An immutable, `Arc`-shared frozen network plus the bookkeeping the
+/// An immutable, `Arc`-shared frozen plan plus the bookkeeping the
 /// batcher and server need: sample geometry, output width, and a scratch
 /// arena for staging buffers.
 ///
-/// Cloning a session is cheap — clones share the network and the arena.
+/// Cloning a session is cheap — clones share the network, the plan and
+/// the arena.
 #[derive(Debug, Clone)]
 pub struct InferenceSession {
     net: Arc<Network>,
-    /// Compiled frozen plan — the default serving path. `None` when the
-    /// session was built with freezing disabled or freezing fell back.
-    plan: Option<Arc<FrozenPlan>>,
-    /// Why freezing fell back to layer-by-layer replay, when it did.
-    freeze_reason: Option<Arc<str>>,
+    /// The compiled program every request executes.
+    plan: Arc<FrozenPlan>,
     arena: Arc<ScratchArena>,
-    sample_dims: Vec<usize>,
-    sample_len: usize,
-    num_outputs: usize,
-    lane: KernelLane,
 }
 
 impl InferenceSession {
     /// Loads a `.aptc` checkpoint blob (any supported version: v1, v2, v3)
-    /// into the architecture described by `spec` and freezes the result,
-    /// arming the default [`KernelLane::DequantCache`] (bit-exact).
+    /// into the architecture described by `spec` and freezes the result
+    /// for the default [`KernelLane::DequantCache`].
     ///
     /// # Errors
     ///
-    /// Propagates architecture construction and checkpoint decode errors,
-    /// and fails if a probe forward pass cannot run.
+    /// Propagates architecture construction, checkpoint decode and
+    /// freeze errors, and fails if a probe run of the plan errors.
     pub fn from_checkpoint(spec: &ModelSpec, blob: &[u8]) -> Result<Self, ServeError> {
         Self::from_checkpoint_with_lane(spec, blob, KernelLane::default())
     }
@@ -237,182 +231,101 @@ impl InferenceSession {
         blob: &[u8],
         lane: KernelLane,
     ) -> Result<Self, ServeError> {
-        Self::from_checkpoint_with_options(spec, blob, lane, true)
-    }
-
-    /// [`from_checkpoint_with_lane`](Self::from_checkpoint_with_lane) with
-    /// the freeze compiler toggleable; see
-    /// [`from_network_with_options`](Self::from_network_with_options).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`from_checkpoint`](Self::from_checkpoint).
-    pub fn from_checkpoint_with_options(
-        spec: &ModelSpec,
-        blob: &[u8],
-        lane: KernelLane,
-        freeze: bool,
-    ) -> Result<Self, ServeError> {
         let mut net = spec.build()?;
         checkpoint::load(&mut net, blob)?;
-        Self::from_network_with_options(net, &spec.sample_dims(), lane, freeze)
+        Self::from_network_with_lane(net, &spec.sample_dims(), lane)
     }
 
     /// Freezes an already-constructed network (e.g. straight out of a
-    /// trainer) into a session, arming the default
+    /// trainer) into a session for the default
     /// [`KernelLane::DequantCache`]. `sample_dims` is the shape of one
     /// input sample without the batch axis.
     ///
     /// # Errors
     ///
-    /// Fails if the probe forward pass (batch of one zero sample) errors,
-    /// which catches sample-shape mismatches at construction time rather
+    /// Returns [`apt_nn::NnError::Unfreezable`] (wrapped in
+    /// [`ServeError::Nn`]) naming the layer when the network cannot be
+    /// compiled — a layer without a plan lowering, or a sample shape the
+    /// layers cannot thread — and fails if the probe run (one zero
+    /// sample) errors, so mismatches surface at construction time rather
     /// than on the first request.
     pub fn from_network(net: Network, sample_dims: &[usize]) -> Result<Self, ServeError> {
         Self::from_network_with_lane(net, sample_dims, KernelLane::default())
     }
 
     /// [`from_network`](Self::from_network) with an explicit kernel lane.
-    /// The requested lane is armed on every layer before the network is
-    /// frozen; the session records the **achieved** lane (layers that
-    /// cannot build an integer panel degrade, see
-    /// [`apt_nn::Network::prepare_inference`]), readable via
-    /// [`lane`](Self::lane).
+    /// The network is compiled into a [`FrozenPlan`] for the requested
+    /// lane; the session records the **achieved** lane (weights that
+    /// cannot build an integer panel, and every convolution, compile to
+    /// the dequant cache), readable via [`lane`](Self::lane).
     ///
     /// # Errors
     ///
-    /// Same contract as [`from_network`](Self::from_network), plus any
-    /// plan-construction error from the layers.
+    /// Same contract as [`from_network`](Self::from_network).
     pub fn from_network_with_lane(
         net: Network,
         sample_dims: &[usize],
         lane: KernelLane,
-    ) -> Result<Self, ServeError> {
-        Self::from_network_with_options(net, sample_dims, lane, true)
-    }
-
-    /// [`from_network_with_lane`](Self::from_network_with_lane) with the
-    /// freeze compiler toggleable. With `freeze = true` (the default
-    /// everywhere) the network is compiled into a [`FrozenPlan`]: BN
-    /// folded, activations fused, intermediates arena-planned, weights
-    /// packed at load. When compilation reports a typed
-    /// [`apt_nn::NnError::Unfreezable`] the session records the reason
-    /// ([`freeze_reason`](Self::freeze_reason)) and falls back to
-    /// layer-by-layer replay — a fallback is never a load failure. With
-    /// `freeze = false` the legacy replay path is used unconditionally.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`from_network`](Self::from_network), plus any
-    /// plan-construction error from the layers.
-    pub fn from_network_with_options(
-        mut net: Network,
-        sample_dims: &[usize],
-        lane: KernelLane,
-        freeze: bool,
     ) -> Result<Self, ServeError> {
         if sample_dims.is_empty() || sample_dims.contains(&0) {
             return Err(ServeError::BadRequest {
                 reason: format!("invalid sample dims {sample_dims:?}"),
             });
         }
-        let sample_len: usize = sample_dims.iter().product();
-        let (plan, freeze_reason) = if freeze {
-            match net.freeze(sample_dims, lane) {
-                Ok(plan) => (Some(Arc::new(plan)), None),
-                Err(e) => (None, Some(Arc::<str>::from(e.to_string().as_str()))),
-            }
-        } else {
-            (None, Some(Arc::<str>::from("freezing disabled by request")))
-        };
-        if let Some(plan) = plan {
-            // Frozen path: the plan holds the compiled weights, so the
-            // layer-side lane is left unarmed (no double residency). A
-            // zero-sample probe validates the compiled program end to end.
-            let mut probe_out = vec![0.0f32; plan.output_len()];
-            plan.execute(
-                &vec![0.0f32; sample_len],
-                1,
-                &mut Vec::new(),
-                &mut probe_out,
-            )?;
-            return Ok(InferenceSession {
-                net: Arc::new(net),
-                num_outputs: plan.output_len(),
-                lane: plan.lane(),
-                plan: Some(plan),
-                freeze_reason: None,
-                arena: Arc::new(ScratchArena::default()),
-                sample_dims: sample_dims.to_vec(),
-                sample_len,
-            });
-        }
-        let achieved = net.prepare_inference(lane)?;
-        let mut probe_dims = vec![1];
-        probe_dims.extend_from_slice(sample_dims);
-        let probe = net.forward_inference(&Tensor::zeros(&probe_dims))?;
-        let num_outputs = probe.len();
+        let plan = net.freeze(sample_dims, lane)?;
+        // A zero-sample probe validates the compiled program end to end.
+        let mut probe_out = vec![0.0f32; plan.output_len()];
+        plan.execute(
+            &vec![0.0f32; plan.sample_len()],
+            1,
+            &mut Vec::new(),
+            &mut probe_out,
+        )?;
         Ok(InferenceSession {
             net: Arc::new(net),
-            plan: None,
-            freeze_reason,
+            plan: Arc::new(plan),
             arena: Arc::new(ScratchArena::default()),
-            sample_dims: sample_dims.to_vec(),
-            sample_len,
-            num_outputs,
-            lane: achieved,
         })
     }
 
-    /// The frozen network.
+    /// The network the plan was compiled from (parameter stores and
+    /// integrity digests; requests never run through it).
     pub fn network(&self) -> &Arc<Network> {
         &self.net
     }
 
-    /// Whether this session serves from a compiled [`FrozenPlan`] (as
-    /// opposed to layer-by-layer replay).
-    pub fn is_frozen(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// Why freezing fell back to layer replay, when it did. `None` on the
-    /// frozen path.
-    pub fn freeze_reason(&self) -> Option<&str> {
-        self.freeze_reason.as_deref()
-    }
-
-    /// The compile report of the frozen plan, when one was compiled.
+    /// The compile report of the frozen plan. Always `Some`: every
+    /// session serves from a compiled plan.
     pub fn plan_report(&self) -> Option<&PlanReport> {
-        self.plan.as_deref().map(FrozenPlan::report)
+        Some(self.plan.report())
     }
 
     /// Bytes this session keeps resident for serving: the parameter
-    /// stores plus whatever the compiled plan (or the per-layer lane
-    /// cache, on the fallback path) holds. This is the figure registry
-    /// budgets must count.
+    /// stores plus the compiled plan's weights. This is the figure
+    /// registry budgets must count.
     pub fn resident_bytes(&self) -> u64 {
-        self.net.resident_bytes() + self.plan.as_deref().map_or(0, FrozenPlan::resident_bytes)
+        self.net.resident_bytes() + self.plan.resident_bytes()
     }
 
-    /// The kernel lane the session actually achieved at load time (the
-    /// weakest lane across its weight-bearing layers).
+    /// The kernel lane the plan actually achieved at load time:
+    /// `IntGemm` only when every weight step packed an integer panel.
     pub fn lane(&self) -> KernelLane {
-        self.lane
+        self.plan.lane()
     }
 
     /// Shape of one input sample (no batch axis).
     pub fn sample_dims(&self) -> &[usize] {
-        &self.sample_dims
+        self.plan.sample_dims()
     }
 
     /// Scalar count of one input sample.
     pub fn sample_len(&self) -> usize {
-        self.sample_len
+        self.plan.sample_len()
     }
 
     /// Scalar count of one output row (e.g. class logits).
     pub fn num_outputs(&self) -> usize {
-        self.num_outputs
+        self.plan.output_len()
     }
 
     /// The session's staging-buffer arena.
@@ -421,16 +334,13 @@ impl InferenceSession {
     }
 
     /// Runs a pre-shaped batch `[n, sample_dims…]` through the frozen
-    /// network.
+    /// plan.
     ///
     /// # Errors
     ///
     /// Propagates layer shape errors.
     pub fn infer_batch(&self, batch: &Tensor) -> Result<Tensor, ServeError> {
-        match &self.plan {
-            Some(plan) => Ok(plan.infer(batch)?),
-            None => Ok(self.net.forward_inference(batch)?),
-        }
+        Ok(self.plan.infer(batch)?)
     }
 
     /// Zero-allocation inference into a caller-provided output buffer:
@@ -441,46 +351,42 @@ impl InferenceSession {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Internal`] when the session is not frozen
-    /// (the replay path cannot honour the no-allocation contract), and
-    /// [`ServeError::BadRequest`] on geometry mismatches.
+    /// Returns [`ServeError::BadRequest`] on geometry mismatches.
     pub fn infer_into(
         &self,
         input: &[f32],
         n: usize,
         output: &mut [f32],
     ) -> Result<(), ServeError> {
-        let plan = self.plan.as_ref().ok_or_else(|| ServeError::Internal {
-            reason: "infer_into requires a frozen session".into(),
-        })?;
-        if input.len() != n * self.sample_len {
+        if input.len() != n * self.sample_len() {
             return Err(ServeError::BadRequest {
                 reason: format!(
                     "expected {} input floats for {n} samples, got {}",
-                    n * self.sample_len,
+                    n * self.sample_len(),
                     input.len()
                 ),
             });
         }
-        if output.len() != n * self.num_outputs {
+        if output.len() != n * self.num_outputs() {
             return Err(ServeError::BadRequest {
                 reason: format!(
                     "expected {} output floats for {n} samples, got {}",
-                    n * self.num_outputs,
+                    n * self.num_outputs(),
                     output.len()
                 ),
             });
         }
-        let mut scratch = self.arena.take(plan.arena_floats_per_sample() * n);
-        plan.execute(input, n, &mut scratch, output)?;
+        let mut scratch = self.arena.take(self.plan.arena_floats_per_sample() * n);
+        self.plan.execute(input, n, &mut scratch, output)?;
         self.arena.put(scratch);
         Ok(())
     }
 
     /// Runs a set of flat samples as one coalesced batch and returns one
     /// output row per sample. This is the micro-batcher's execution path:
-    /// samples are staged into an arena buffer, run once, and the staging
-    /// buffer is recycled.
+    /// samples are staged into an arena buffer and run straight into a
+    /// recycled output buffer — no tensor wrapping, no per-request
+    /// intermediate allocation.
     ///
     /// # Errors
     ///
@@ -492,41 +398,29 @@ impl InferenceSession {
             return Ok(Vec::new());
         }
         for (i, s) in samples.iter().enumerate() {
-            if s.len() != self.sample_len {
+            if s.len() != self.sample_len() {
                 return Err(ServeError::BadRequest {
                     reason: format!(
                         "sample {i}: expected {} values, got {}",
-                        self.sample_len,
+                        self.sample_len(),
                         s.len()
                     ),
                 });
             }
         }
-        let mut staging = self.arena.take(n * self.sample_len);
+        let mut staging = self.arena.take(n * self.sample_len());
         for s in samples {
             staging.extend_from_slice(s);
         }
-        if self.plan.is_some() {
-            // Frozen path: run straight out of the staging buffer into a
-            // recycled output buffer — no tensor wrapping, no per-request
-            // intermediate allocation.
-            let mut out = self.arena.take(n * self.num_outputs);
-            out.resize(n * self.num_outputs, 0.0);
-            self.infer_into(&staging, n, &mut out)?;
-            let rows = out.chunks(self.num_outputs).map(<[f32]>::to_vec).collect();
-            self.arena.put(staging);
-            self.arena.put(out);
-            return Ok(rows);
-        }
-        let mut dims = vec![n];
-        dims.extend_from_slice(&self.sample_dims);
-        let batch = Tensor::from_vec(staging, &dims).map_err(apt_nn::NnError::from)?;
-        let out = self.net.forward_inference(&batch)?;
-        self.arena.put(batch.into_vec());
-        let rows = (0..n)
-            .map(|i| out.row(i).map(<[f32]>::to_vec))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(apt_nn::NnError::from)?;
+        let mut out = self.arena.take(n * self.num_outputs());
+        out.resize(n * self.num_outputs(), 0.0);
+        self.infer_into(&staging, n, &mut out)?;
+        let rows = out
+            .chunks(self.num_outputs())
+            .map(<[f32]>::to_vec)
+            .collect();
+        self.arena.put(staging);
+        self.arena.put(out);
         Ok(rows)
     }
 
@@ -618,10 +512,10 @@ mod tests {
     #[test]
     fn arena_recycles_staging() {
         let s = mlp_session();
-        let _ = s.infer_one(&vec![1.0; 6]).unwrap();
+        let _ = s.infer_one(&[1.0; 6]).unwrap();
         assert!(s.arena().parked() >= 1, "staging buffer should be recycled");
         let before = s.arena().parked();
-        let _ = s.infer_one(&vec![1.0; 6]).unwrap();
+        let _ = s.infer_one(&[1.0; 6]).unwrap();
         assert_eq!(s.arena().parked(), before, "steady state reuses buffers");
     }
 
@@ -638,14 +532,14 @@ mod tests {
     #[test]
     fn concurrent_inference_through_arc() {
         let s = mlp_session();
-        let base = s.infer_one(&vec![0.1; 6]).unwrap();
+        let base = s.infer_one(&[0.1; 6]).unwrap();
         let mut handles = Vec::new();
         for _ in 0..4 {
             let s = s.clone();
             let base = base.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..25 {
-                    assert_eq!(s.infer_one(&vec![0.1; 6]).unwrap(), base);
+                    assert_eq!(s.infer_one(&[0.1; 6]).unwrap(), base);
                 }
             }));
         }
@@ -666,8 +560,39 @@ mod tests {
         assert!(InferenceSession::from_network(net, &[]).is_err());
         let net2 = spec.build().unwrap();
         assert!(InferenceSession::from_network(net2, &[0]).is_err());
-        // probe catches arch/sample mismatch up front
+        // the freeze compiler catches arch/sample mismatch up front
         let net3 = spec.build().unwrap();
-        assert!(InferenceSession::from_network(net3, &[5]).is_err());
+        assert!(matches!(
+            InferenceSession::from_network(net3, &[5]),
+            Err(ServeError::Nn(apt_nn::NnError::Unfreezable { .. }))
+        ));
+    }
+
+    #[test]
+    fn unfreezable_network_is_a_typed_load_error_naming_the_layer() {
+        // A layer without a plan lowering cannot be served: loading
+        // fails with the layer's name.
+        #[derive(Debug)]
+        struct Opaque;
+        impl apt_nn::Layer for Opaque {
+            fn name(&self) -> &str {
+                "opaque"
+            }
+            fn forward(&mut self, input: &Tensor, _mode: Mode) -> apt_nn::Result<Tensor> {
+                Ok(input.clone())
+            }
+            fn backward(&mut self, grad: &Tensor) -> apt_nn::Result<Tensor> {
+                Ok(grad.clone())
+            }
+            fn visit_params(&mut self, _f: &mut dyn FnMut(&mut apt_nn::Param)) {}
+            fn visit_params_ref(&self, _f: &mut dyn FnMut(&apt_nn::Param)) {}
+        }
+        let net = Network::new("n", vec![Box::new(Opaque)]);
+        match InferenceSession::from_network(net, &[4]) {
+            Err(ServeError::Nn(apt_nn::NnError::Unfreezable { layer, .. })) => {
+                assert_eq!(layer, "opaque")
+            }
+            other => panic!("expected a typed Unfreezable error, got {other:?}"),
+        }
     }
 }

@@ -34,7 +34,6 @@ pub struct ServeStats {
     models_resident: AtomicU64,
     resident_bytes: AtomicU64,
     plans_frozen: AtomicU64,
-    freeze_fallbacks: AtomicU64,
     lat: [AtomicU64; LAT_BUCKETS],
     batch_sizes: [AtomicU64; BATCH_BUCKETS],
 }
@@ -58,7 +57,6 @@ impl Default for ServeStats {
             models_resident: AtomicU64::new(0),
             resident_bytes: AtomicU64::new(0),
             plans_frozen: AtomicU64::new(0),
-            freeze_fallbacks: AtomicU64::new(0),
             lat: std::array::from_fn(|_| AtomicU64::new(0)),
             batch_sizes: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -158,12 +156,6 @@ impl ServeStats {
         self.plans_frozen.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one session that fell back to layer-by-layer replay
-    /// because its network could not be frozen (or freezing was disabled).
-    pub fn record_freeze_fallback(&self) {
-        self.freeze_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Sets the fleet gauges: models currently resident and their summed
     /// resident bytes. Called by the registry after every mutation.
     pub fn set_fleet(&self, models: u64, bytes: u64) {
@@ -225,7 +217,6 @@ impl ServeStats {
             models_resident: self.models_resident.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             plans_frozen: self.plans_frozen.load(Ordering::Relaxed),
-            freeze_fallbacks: self.freeze_fallbacks.load(Ordering::Relaxed),
             p50_us: pct(0.50),
             p90_us: pct(0.90),
             p99_us: pct(0.99),
@@ -275,8 +266,6 @@ pub struct StatsSnapshot {
     pub resident_bytes: u64,
     /// Sessions loaded onto the compiled frozen-plan path.
     pub plans_frozen: u64,
-    /// Sessions that fell back to layer-by-layer replay at load.
-    pub freeze_fallbacks: u64,
     /// Median end-to-end latency, µs (log₂-bucket upper bound).
     pub p50_us: u64,
     /// 90th-percentile latency, µs.
@@ -305,7 +294,7 @@ impl StatsSnapshot {
              \"swaps\":{},\"evictions\":{},\"quarantines\":{},\
              \"model_unavailable\":{},\"models_resident\":{},\
              \"resident_bytes\":{},\
-             \"plans_frozen\":{},\"freeze_fallbacks\":{},\
+             \"plans_frozen\":{},\
              \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"mean_batch\":{:.3},\
              \"batch_hist\":[{}]}}",
             self.completed,
@@ -324,7 +313,6 @@ impl StatsSnapshot {
             self.models_resident,
             self.resident_bytes,
             self.plans_frozen,
-            self.freeze_fallbacks,
             self.p50_us,
             self.p90_us,
             self.p99_us,
@@ -453,13 +441,10 @@ mod tests {
         let s = ServeStats::default();
         s.record_plan_frozen();
         s.record_plan_frozen();
-        s.record_freeze_fallback();
         let snap = s.snapshot();
         assert_eq!(snap.plans_frozen, 2);
-        assert_eq!(snap.freeze_fallbacks, 1);
         let j = snap.to_json();
         assert!(j.contains("\"plans_frozen\":2"), "{j}");
-        assert!(j.contains("\"freeze_fallbacks\":1"), "{j}");
     }
 
     #[test]

@@ -5,13 +5,10 @@
 //! unframed, v2 byte-granular, v3 packed+CRC) and both code-store backends
 //! (legacy one-`i64`-per-code and tiered physical).
 //!
-//! Two grades of agreement, matching the two serving paths:
-//!
-//! * the **replay** path (freezing disabled) is **bit-identical** — it
-//!   runs the same layer kernels as the trainer's eval forward;
-//! * the default **frozen** path folds BatchNorm into conv weights at
-//!   compile time, which reassociates per-channel float multiplies, so
-//!   its logits agree within a small relative tolerance.
+//! The session serves from a frozen plan that folds BatchNorm into conv
+//! weights at compile time, which reassociates per-channel float
+//! multiplies, so its logits agree with the trainer's within a small
+//! relative tolerance of each row's largest magnitude.
 //!
 //! The backend is selected through the process-global override, so this
 //! file holds a single serial `#[test]`.
@@ -64,15 +61,6 @@ fn trained_network() -> Network {
     fresh
 }
 
-fn eval_logits(net: &mut Network, batch: &Tensor) -> Vec<u32> {
-    net.forward(batch, Mode::Eval)
-        .unwrap()
-        .data()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect()
-}
-
 #[test]
 fn session_matches_trainer_eval_across_versions_and_backends() {
     let samples: Vec<Vec<f32>> = (0..4)
@@ -88,36 +76,20 @@ fn session_matches_trainer_eval_across_versions_and_backends() {
     for backend in [StoreBackend::I64, StoreBackend::Tiered] {
         set_store_backend(backend);
         let mut net = trained_network();
-        let want = eval_logits(&mut net, &batch);
+        let want = net.forward(&batch, Mode::Eval).unwrap();
 
         for version in [1u16, 2, 3] {
             let blob = checkpoint::save_full_as(&mut net, version).unwrap();
-            // Replay path: bit-identical to the trainer's eval forward.
-            let replay = InferenceSession::from_checkpoint_with_options(
-                &spec(),
-                &blob,
-                apt_nn::KernelLane::default(),
-                false,
-            )
-            .unwrap();
-            assert!(!replay.is_frozen());
-            let rows = replay.infer_samples(&samples).unwrap();
-            let got: Vec<u32> = rows.iter().flatten().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                got, want,
-                "replay serving logits diverged from trainer eval \
-                 (checkpoint v{version}, backend {backend:?})"
-            );
-            // Frozen path: BN folding drifts only by float reassociation.
-            let frozen = InferenceSession::from_checkpoint(&spec(), &blob).unwrap();
-            assert!(frozen.is_frozen(), "{:?}", frozen.freeze_reason());
-            let frows = frozen.infer_samples(&samples).unwrap();
-            for (row, frow) in rows.iter().zip(&frows) {
-                let scale = row.iter().fold(1.0f32, |m, v| m.max(v.abs()));
-                for (&e, &g) in row.iter().zip(frow) {
+            let session = InferenceSession::from_checkpoint(&spec(), &blob).unwrap();
+            let rows = session.infer_samples(&samples).unwrap();
+            assert_eq!(rows.len(), 4);
+            for (row, want_row) in rows.iter().zip(want.data().chunks(3)) {
+                assert_eq!(row.len(), want_row.len());
+                let scale = want_row.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+                for (&g, &e) in row.iter().zip(want_row) {
                     assert!(
                         (e - g).abs() <= 1e-4 * scale,
-                        "frozen logits drifted past tolerance: {e} vs {g} \
+                        "serving logits drifted from trainer eval: {e} vs {g} \
                          (checkpoint v{version}, backend {backend:?})"
                     );
                 }

@@ -302,7 +302,7 @@ fn request_deadline_sheds_typed_through_the_wire() {
         ..ConnLimits::default()
     });
     let mut client = ServeClient::connect(server.addr()).unwrap();
-    match client.infer(&vec![0.1; IN_DIM]) {
+    match client.infer(&[0.1; IN_DIM]) {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("expected DeadlineExceeded over the wire, got {other:?}"),
     }
@@ -320,7 +320,7 @@ fn shutdown_notice_is_typed_on_idle_connections() {
     server.shutdown();
     // The pushed SHUTTING_DOWN frame (or a closed socket) is what the next
     // round trip sees.
-    match client.infer(&vec![0.0; IN_DIM]) {
+    match client.infer(&[0.0; IN_DIM]) {
         Err(ServeError::ShuttingDown) | Err(ServeError::Io(_)) => {}
         other => panic!("expected typed shutdown, got {other:?}"),
     }

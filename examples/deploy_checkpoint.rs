@@ -6,10 +6,10 @@
 //!
 //! Trains a model with APT, saves it **at its adapted per-layer bitwidths**
 //! (integer codes, no fp32 anywhere), "ships" the blob into a frozen
-//! [`InferenceSession`] (the serving runtime's loader), verifies bit-exact
-//! behaviour, then resumes in-situ training from the same checkpoint — the
-//! paper's §I scenario of a device that "has to learn in-situ frequently
-//! after deployment".
+//! [`InferenceSession`] (the serving runtime's loader), verifies it against
+//! the trainer's eval forward, then resumes in-situ training from the same
+//! checkpoint — the paper's §I scenario of a device that "has to learn
+//! in-situ frequently after deployment".
 
 use apt::core::{PolicyConfig, TrainConfig, Trainer};
 use apt::data::{SynthCifar, SynthCifarConfig};
@@ -57,7 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Phase 3: "ship" — the device loads the blob into a frozen inference
-    // session (exactly what `apt serve` does); behaviour must be bit-exact.
+    // session (exactly what `apt serve` does). Folding BatchNorm into the
+    // conv weights reassociates one multiply per weight, so the served
+    // logits match the trainer's eval forward to float rounding.
     let spec = ModelSpec {
         arch: ModelArch::Cifarnet,
         classes: 10,
@@ -68,7 +70,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let x = data.test.image(0).clone().reshape(&[1, 3, 12, 12])?;
     let a = trained.forward(&x, Mode::Eval)?;
     let b = session.infer_batch(&x)?;
-    assert_eq!(a.data(), b.data(), "shipped model must match bit-exactly");
+    let scale = a.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+    assert!(
+        a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(e, g)| (e - g).abs() <= 1e-4 * scale),
+        "shipped model must match the trainer: {:?} vs {:?}",
+        a.data(),
+        b.data()
+    );
     let logits = session.infer_one(x.data())?;
     assert_eq!(
         logits,
@@ -76,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "single-sample path matches the batch path"
     );
     println!(
-        "shipped model verified bit-exact in the serving session \
+        "shipped model verified against the trainer in the serving session \
          ({} resident bytes, {} outputs)",
         session.network().resident_bytes(),
         session.num_outputs()

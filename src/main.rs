@@ -9,9 +9,9 @@
 //! checkpoint (`--checkpoint`) or a whole directory of them
 //! (`--model-dir`, one model per file) into an
 //! [`apt_serve::ModelRegistry`] and exposes the fleet over the
-//! length-prefixed TCP protocol; by default every ingested model is
-//! compiled into a frozen plan (BN folded, activations fused,
-//! arena-planned) — `--no-freeze` pins the legacy layer-replay path.
+//! length-prefixed TCP protocol; every ingested model is compiled into a
+//! frozen plan (BN folded, activations fused, arena-planned), the only
+//! inference executor.
 //! `freeze` compiles a checkpoint without serving it and prints the plan
 //! report (step counts, fusions, arena size, achieved lane). `train`
 //! trains on the synthetic-CIFAR workload, data-parallel across
@@ -78,11 +78,10 @@ model geometry (must match how the checkpoint was trained):
 
 serving:
   --addr HOST:PORT      bind address                  [default 127.0.0.1:7878]
-  --lane LANE           compute kernel lane: fp32 | dequant-cache | int-gemm
-                        (int-gemm serves straight from packed integer codes;
-                        bit-close, not bit-exact)     [default dequant-cache]
-  --no-freeze           serve by layer-by-layer replay instead of compiling
-                        checkpoints into fused frozen plans
+  --lane LANE           compute kernel lane: dequant-cache | int-gemm
+                        (int-gemm serves linear layers straight from packed
+                        integer codes; bit-close, not bit-exact)
+                                                      [default dequant-cache]
   --max-batch N         micro-batch coalescing cap    [default 8]
   --max-delay-us N      batching window in microsecs  [default 2000]
   --queue-depth N       admission queue bound         [default 128]
@@ -114,7 +113,7 @@ model geometry (must match how the checkpoint was trained):
   --width-mult F        channel width multiplier      [default 0.25]
 
 compilation:
-  --lane LANE           fp32 | dequant-cache | int-gemm [default dequant-cache]";
+  --lane LANE           dequant-cache | int-gemm      [default dequant-cache]";
 
 const TRAIN_USAGE: &str = "usage: apt train --model MODEL [options]
 
@@ -230,7 +229,6 @@ struct ServeArgs {
     limits: ConnLimits,
     threads: Option<usize>,
     stats_every: u64,
-    freeze: bool,
 }
 
 fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
@@ -251,7 +249,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         limits: ConnLimits::default(),
         threads: None,
         stats_every: 10,
-        freeze: true,
     };
     let mut i = 0;
     while i < args.len() {
@@ -259,11 +256,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         if flag == "--help" || flag == "-h" {
             eprintln!("{USAGE}");
             std::process::exit(0);
-        }
-        if flag == "--no-freeze" {
-            out.freeze = false;
-            i += 1;
-            continue;
         }
         let value = args
             .get(i + 1)
@@ -288,7 +280,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
             "--lane" => {
                 out.lane = KernelLane::parse(value).ok_or_else(|| {
                     CliError::Usage(format!(
-                        "bad value `{value}` for --lane (want fp32 | dequant-cache | int-gemm)"
+                        "bad value `{value}` for --lane (want dequant-cache | int-gemm)"
                     ))
                 })?
             }
@@ -361,7 +353,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         quarantine_dir: a.quarantine_dir.clone().map(PathBuf::from),
         spec: Some(spec.clone()),
         lane: a.lane,
-        freeze: a.freeze,
     }));
 
     // Populate the fleet: one validated checkpoint, or a directory scan
@@ -421,21 +412,13 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     let mut server = Server::start_with_registry(Arc::clone(&registry), config)
         .map_err(|e| CliError::Runtime(format!("cannot start server on `{}`: {e}", a.addr)))?;
     println!(
-        "serving {default_model} [{:?}] ({} inputs → {} outputs, {} resident bytes, {} models, lane {}, {}) on {}",
+        "serving {default_model} [{:?}] ({} inputs → {} outputs, {} resident bytes, {} models, lane {}) on {}",
         a.model,
         session.sample_len(),
         session.num_outputs(),
         registry.resident_bytes(),
         registry.models().len(),
         session.lane().as_str(),
-        if session.is_frozen() {
-            "frozen plan".to_string()
-        } else {
-            format!(
-                "layer replay: {}",
-                session.freeze_reason().unwrap_or("unknown reason")
-            )
-        },
         server.addr()
     );
     if let Some(report) = session.plan_report() {
@@ -494,7 +477,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 
 fn print_stats(s: &apt_serve::StatsSnapshot) {
     println!(
-        "stats: {} ok / {} shed / {} expired / {} errors | p50 {}µs p90 {}µs p99 {}µs | mean batch {:.2} | conns {} open, {} refused, {} idle-reaped, {} slow-reaped | fleet {} resident ({} bytes), {} swaps, {} evictions, {} quarantined | plans {} frozen, {} fallbacks",
+        "stats: {} ok / {} shed / {} expired / {} errors | p50 {}µs p90 {}µs p99 {}µs | mean batch {:.2} | conns {} open, {} refused, {} idle-reaped, {} slow-reaped | fleet {} resident ({} bytes), {} swaps, {} evictions, {} quarantined | plans {} frozen",
         s.completed,
         s.shed,
         s.deadline_expired,
@@ -512,8 +495,7 @@ fn print_stats(s: &apt_serve::StatsSnapshot) {
         s.swaps,
         s.evictions,
         s.quarantines,
-        s.plans_frozen,
-        s.freeze_fallbacks
+        s.plans_frozen
     );
 }
 
@@ -560,7 +542,7 @@ fn run_freeze(args: &[String]) -> Result<(), CliError> {
             "--lane" => {
                 lane = KernelLane::parse(value).ok_or_else(|| {
                     CliError::Usage(format!(
-                        "bad value `{value}` for --lane (want fp32 | dequant-cache | int-gemm)"
+                        "bad value `{value}` for --lane (want dequant-cache | int-gemm)"
                     ))
                 })?
             }
@@ -769,6 +751,52 @@ fn run_train(args: &[String]) -> Result<(), CliError> {
         println!("per-rank checkpoints under {dir}/rank<r>/");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn assert_usage(r: Result<(), CliError>, flag: &str) {
+        match r {
+            Err(CliError::Usage(m)) => assert!(m.contains(flag), "{m}"),
+            Err(CliError::Runtime(m)) => panic!("expected a usage error, got runtime `{m}`"),
+            Ok(()) => panic!("expected a usage error for {flag}"),
+        }
+    }
+
+    #[test]
+    fn serve_rejects_the_removed_fp32_lane_and_no_freeze() {
+        let base = ["--checkpoint", "m.aptc", "--model", "cifarnet"];
+        let serve = |extra: &[&str]| {
+            let mut v = base.to_vec();
+            v.extend_from_slice(extra);
+            parse_serve_args(&args(&v)).map(|_| ())
+        };
+        assert_usage(serve(&["--lane", "fp32"]), "--lane");
+        assert_usage(serve(&["--no-freeze"]), "--no-freeze");
+        assert_usage(serve(&["--no-freeze", "--lane", "int-gemm"]), "--no-freeze");
+        assert!(serve(&["--lane", "int-gemm"]).is_ok());
+    }
+
+    #[test]
+    fn freeze_rejects_the_removed_fp32_lane_and_no_freeze() {
+        let freeze = |extra: &[&str]| {
+            let mut v = vec!["m.aptc", "--model", "cifarnet"];
+            v.extend_from_slice(extra);
+            run_freeze(&args(&v))
+        };
+        assert_usage(freeze(&["--lane", "fp32"]), "--lane");
+        assert_usage(freeze(&["--no-freeze"]), "--no-freeze");
+        assert_usage(
+            freeze(&["--no-freeze", "--lane", "int-gemm"]),
+            "--no-freeze",
+        );
+    }
 }
 
 /// Minimal `SIGINT`/`SIGTERM` latching without any signal-handling crate:
