@@ -215,24 +215,20 @@ fn build_workloads(session: &InferenceSession, n: usize) -> Vec<Workload> {
 struct Policy {
     name: &'static str,
     max_batch: usize,
-    max_delay_us: u64,
 }
 
 const POLICIES: &[Policy] = &[
     Policy {
         name: "single",
         max_batch: 1,
-        max_delay_us: 0,
     },
     Policy {
         name: "batch8",
         max_batch: 8,
-        max_delay_us: 2000,
     },
     Policy {
         name: "batch32",
         max_batch: 32,
-        max_delay_us: 2000,
     },
 ];
 
@@ -243,7 +239,6 @@ struct Row {
     threads: usize,
     policy: &'static str,
     max_batch: usize,
-    max_delay_us: u64,
     clients: usize,
     requests: u64,
     ok: u64,
@@ -286,7 +281,6 @@ fn run_cell(
         addr: "127.0.0.1:0".to_string(),
         policy: BatchPolicy {
             max_batch: policy.max_batch,
-            max_delay: Duration::from_micros(policy.max_delay_us),
             queue_depth: 128,
         },
         model_name: format!("mlp-k{bits}"),
@@ -360,7 +354,6 @@ fn run_cell(
         threads,
         policy: policy.name,
         max_batch: policy.max_batch,
-        max_delay_us: policy.max_delay_us,
         clients: CLIENTS,
         requests: (CLIENTS * per_client) as u64,
         ok,
@@ -399,7 +392,6 @@ fn soak_cell(per_client: usize) -> (Row, bool) {
         addr: "127.0.0.1:0".to_string(),
         policy: BatchPolicy {
             max_batch: 8,
-            max_delay: Duration::from_micros(2000),
             queue_depth: 128,
         },
         model_name: "mlp-k8-soak".to_string(),
@@ -502,7 +494,6 @@ fn soak_cell(per_client: usize) -> (Row, bool) {
             threads: 1,
             policy: "batch8",
             max_batch: 8,
-            max_delay_us: 2000,
             clients: SOAK_CONNS + 1,
             requests: per_client as u64,
             ok,
@@ -543,7 +534,6 @@ fn slowloris_cell(per_client: usize) -> (Row, bool) {
         addr: "127.0.0.1:0".to_string(),
         policy: BatchPolicy {
             max_batch: 8,
-            max_delay: Duration::from_micros(2000),
             queue_depth: 128,
         },
         model_name: "mlp-k8-slowloris".to_string(),
@@ -670,7 +660,6 @@ fn slowloris_cell(per_client: usize) -> (Row, bool) {
             threads: 1,
             policy: "batch8",
             max_batch: 8,
-            max_delay_us: 2000,
             clients: healthy_n + SLOWLORIS_ATTACKERS,
             requests: (healthy_n * per_client) as u64,
             ok,
@@ -713,7 +702,6 @@ fn overload_cell(per_client: usize) -> (Row, bool) {
         addr: "127.0.0.1:0".to_string(),
         policy: BatchPolicy {
             max_batch: 4,
-            max_delay: Duration::from_micros(500),
             queue_depth: 6,
         },
         model_name: "mlp-k8-overload".to_string(),
@@ -834,7 +822,6 @@ fn overload_cell(per_client: usize) -> (Row, bool) {
             threads: 1,
             policy: "batch4",
             max_batch: 4,
-            max_delay_us: 500,
             clients: OVERLOAD_CLIENTS,
             requests: total,
             ok,
@@ -911,7 +898,6 @@ fn fleet_cell() -> (Row, bool) {
             addr: "127.0.0.1:0".to_string(),
             policy: BatchPolicy {
                 max_batch: 8,
-                max_delay: Duration::from_micros(500),
                 queue_depth: 256,
             },
             model_name: "m".to_string(),
@@ -1115,7 +1101,6 @@ fn fleet_cell() -> (Row, bool) {
             threads: 1,
             policy: "batch8",
             max_batch: 8,
-            max_delay_us: 500,
             clients: FLEET_CLIENTS + 1,
             requests: ok + typed + corrupted + lost,
             ok,
@@ -1178,7 +1163,6 @@ fn corruption_cell() -> (Row, bool) {
             addr: "127.0.0.1:0".to_string(),
             policy: BatchPolicy {
                 max_batch: 8,
-                max_delay: Duration::from_micros(2000),
                 queue_depth: 128,
             },
             model_name: "serving".to_string(),
@@ -1310,7 +1294,6 @@ fn corruption_cell() -> (Row, bool) {
             threads: 1,
             policy: "batch8",
             max_batch: 8,
-            max_delay_us: 2000,
             clients: 1,
             requests: ok + corrupted,
             ok,
@@ -1448,14 +1431,14 @@ fn print_row(r: &Row) {
 fn write_outputs(rows: &[Row]) {
     let csv_path = results_dir().join("serving.csv");
     let mut csv = String::from(
-        "cell,bits,lane,threads,policy,max_batch,max_delay_us,clients,requests,ok,shed,\
+        "cell,bits,lane,threads,policy,max_batch,clients,requests,ok,shed,\
          deadline_expired,corrupted,lost,refused_accept,idle_reaped,slow_reaped,\
          wall_ms,rps,p50_us,p90_us,p99_us,mean_batch,\
          swaps,evictions,quarantines,model_unavailable,swap_p99_us\n",
     );
     for r in rows {
         csv.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.1},{:.1},{},{},{},{:.3},\
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.1},{:.1},{},{},{},{:.3},\
              {},{},{},{},{}\n",
             r.cell,
             r.bits,
@@ -1463,7 +1446,6 @@ fn write_outputs(rows: &[Row]) {
             r.threads,
             r.policy,
             r.max_batch,
-            r.max_delay_us,
             r.clients,
             r.requests,
             r.ok,
@@ -1495,7 +1477,7 @@ fn write_outputs(rows: &[Row]) {
         .map(|r| {
             format!(
                 "  {{\"cell\":\"{}\",\"bits\":{},\"lane\":\"{}\",\"threads\":{},\"policy\":\"{}\",\
-                 \"max_batch\":{},\"max_delay_us\":{},\"clients\":{},\"requests\":{},\
+                 \"max_batch\":{},\"clients\":{},\"requests\":{},\
                  \"ok\":{},\"shed\":{},\"deadline_expired\":{},\"corrupted\":{},\"lost\":{},\
                  \"refused_accept\":{},\"idle_reaped\":{},\"slow_reaped\":{},\
                  \"wall_ms\":{:.1},\"rps\":{:.1},\
@@ -1508,7 +1490,6 @@ fn write_outputs(rows: &[Row]) {
                 r.threads,
                 r.policy,
                 r.max_batch,
-                r.max_delay_us,
                 r.clients,
                 r.requests,
                 r.ok,

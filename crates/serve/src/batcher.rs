@@ -1,12 +1,13 @@
-//! Dynamic micro-batching with admission control.
+//! Work-conserving micro-batching with admission control.
 //!
 //! Single-sample requests land on a **bounded** MPSC queue. A dedicated
-//! worker thread pops the first request, then keeps coalescing until
-//! either [`BatchPolicy::max_batch`] requests are in hand or
-//! [`BatchPolicy::max_delay`] has elapsed since the first one — the
-//! classic latency/throughput knob. The coalesced batch runs once through
-//! the frozen [`InferenceSession`] and each requester gets its own output
-//! row back.
+//! worker thread pops the first request, adds whatever is *already* queued
+//! behind it, up to [`BatchPolicy::max_batch`], and runs the batch at once.
+//! It never waits for co-batchees: a lone request is served immediately,
+//! and batches grow only while requests arrive faster than the worker
+//! drains them. The batch runs once through the frozen
+//! [`InferenceSession`] and each requester gets its own output row back as
+//! a [`Completion`] on the reactor's channel.
 //!
 //! Backpressure is typed, not implicit: a full queue sheds the request
 //! with [`ServeError::Overloaded`] instead of queueing unboundedly, and a
@@ -17,12 +18,13 @@
 //! **Fleet routing**: every job carries the [`InferenceSession`] it was
 //! resolved against at admission time, so one worker serves many models.
 //! A coalesced batch is partitioned by plan identity (the `Arc` pointer of
-//! the frozen network) before execution — requests resolved against an old
-//! plan finish on that old plan even if a hot-swap published a new one
-//! mid-flight, which is exactly the drain guarantee the registry's
-//! `Arc`-swap relies on.
+//! the session's [`FrozenPlan`]) before execution — requests resolved
+//! against an old plan finish on that old plan even if a hot-swap
+//! published a new one mid-flight, which is exactly the drain guarantee
+//! the registry's `Arc`-swap relies on.
 
 use crate::{InferenceSession, ServeError, ServeStats, StatsSnapshot};
+use apt_nn::FrozenPlan;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -31,11 +33,8 @@ use std::time::{Duration, Instant};
 /// The batch-coalescing policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Largest batch the worker will coalesce.
+    /// Largest batch the worker coalesces from already-queued requests.
     pub max_batch: usize,
-    /// Longest a request may wait for co-batchees after reaching the head
-    /// of the queue.
-    pub max_delay: Duration,
     /// Bound of the admission queue; requests beyond it are shed.
     pub queue_depth: usize,
 }
@@ -44,7 +43,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 8,
-            max_delay: Duration::from_micros(2000),
             queue_depth: 128,
         }
     }
@@ -69,42 +67,27 @@ impl BatchPolicy {
     }
 }
 
-/// Where a finished (or shed) request's result goes.
-///
-/// Blocking callers park on a rendezvous channel; the event-loop server
-/// instead receives a [`Completion`] tagged with its connection token and
-/// per-connection sequence number on a shared channel, so the reactor
-/// thread never blocks on inference.
+/// Where a finished (or shed) request's result goes: a [`Completion`]
+/// tagged with the connection token and per-connection sequence number on
+/// the reactor's shared channel, so the reactor never blocks on inference.
 #[derive(Debug)]
-pub(crate) enum Reply {
-    /// Rendezvous for [`BatcherHandle::infer_blocking`].
-    Blocking(mpsc::SyncSender<Result<Vec<f32>, ServeError>>),
-    /// Completion-channel delivery for the event-loop front-end.
-    Event {
-        /// Connection token the reactor routes the completion back to.
-        conn: u64,
-        /// Per-connection request sequence number (response ordering).
-        seq: u64,
-        /// The reactor's completion queue.
-        tx: mpsc::Sender<Completion>,
-    },
+struct Reply {
+    conn: u64,
+    seq: u64,
+    tx: mpsc::Sender<Completion>,
 }
 
 impl Reply {
+    /// Completions carry the *encoded* response payload so the
+    /// serialisation cost lands on the worker thread, not the reactor. A
+    /// hung-up reactor is not an error; the result is dropped.
     fn send(self, result: Result<Vec<f32>, ServeError>) {
-        match self {
-            // A hung-up requester is not an error; drop its result.
-            Reply::Blocking(tx) => {
-                let _ = tx.send(result);
-            }
-            // Event completions carry the *encoded* response payload so
-            // the serialisation cost lands on the worker thread, not the
-            // reactor.
-            Reply::Event { conn, seq, tx } => {
-                let result = result.map(|row| crate::protocol::encode_f32s(&row));
-                let _ = tx.send(Completion { conn, seq, result });
-            }
-        }
+        let result = result.map(|row| crate::protocol::encode_f32s(&row));
+        let _ = self.tx.send(Completion {
+            conn: self.conn,
+            seq: self.seq,
+            result,
+        });
     }
 }
 
@@ -144,93 +127,60 @@ impl Job {
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
 /// The micro-batching runtime: owns the worker thread and the queue.
-/// Request submission goes through cloneable [`BatcherHandle`]s.
+/// Request submission goes through [`BatcherHandle`]s.
 #[derive(Debug)]
-pub struct MicroBatcher {
+pub(crate) struct MicroBatcher {
     tx: mpsc::SyncSender<Job>,
     stats: Arc<ServeStats>,
     draining: Arc<AtomicBool>,
-    policy: BatchPolicy,
-    session: InferenceSession,
+    queue_depth: usize,
     worker: Option<thread::JoinHandle<()>>,
 }
 
 impl MicroBatcher {
-    /// Spawns the batching worker over a frozen session (the **default**
-    /// plan for submissions that don't carry their own).
+    /// Spawns the batching worker, recording into a shared stats collector
+    /// so the registry, server, and batcher report as one fleet.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::BadRequest`] for an invalid policy.
-    pub fn new(session: InferenceSession, policy: BatchPolicy) -> Result<Self, ServeError> {
-        MicroBatcher::with_stats(session, policy, Arc::new(ServeStats::default()))
-    }
-
-    /// As [`new`](Self::new), recording into a shared stats collector so
-    /// the registry, server, and batcher report as one fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadRequest`] for an invalid policy.
-    pub fn with_stats(
-        session: InferenceSession,
-        policy: BatchPolicy,
-        stats: Arc<ServeStats>,
-    ) -> Result<Self, ServeError> {
+    pub(crate) fn spawn(policy: &BatchPolicy, stats: Arc<ServeStats>) -> Result<Self, ServeError> {
         policy.validate()?;
         let (tx, rx) = mpsc::sync_channel::<Job>(policy.queue_depth);
         let draining = Arc::new(AtomicBool::new(false));
         let worker = {
             let stats = Arc::clone(&stats);
             let draining = Arc::clone(&draining);
-            let policy = policy.clone();
-            thread::spawn(move || worker_loop(&rx, &stats, &draining, &policy))
+            let max_batch = policy.max_batch;
+            thread::spawn(move || worker_loop(&rx, &stats, &draining, max_batch))
         };
         Ok(MicroBatcher {
             tx,
             stats,
             draining,
-            policy,
-            session,
+            queue_depth: policy.queue_depth,
             worker: Some(worker),
         })
     }
 
-    /// A cloneable submission handle (one per connection, typically).
-    pub fn handle(&self) -> BatcherHandle {
+    /// A submission handle.
+    pub(crate) fn handle(&self) -> BatcherHandle {
         BatcherHandle {
             tx: self.tx.clone(),
             stats: Arc::clone(&self.stats),
             draining: Arc::clone(&self.draining),
-            session: self.session.clone(),
-            queue_depth: self.policy.queue_depth,
+            queue_depth: self.queue_depth,
         }
     }
 
-    /// The session this batcher executes on.
-    pub fn session(&self) -> &InferenceSession {
-        &self.session
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
-
     /// Snapshot of the serving counters.
-    pub fn stats(&self) -> StatsSnapshot {
+    pub(crate) fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// The shared stats collector (for fronts that record their own
-    /// protocol-level counters).
-    pub fn stats_handle(&self) -> Arc<ServeStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Graceful drain: stop admitting, execute everything already queued,
     /// then join the worker. Idempotent.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.draining.store(true, Ordering::SeqCst);
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -244,62 +194,21 @@ impl Drop for MicroBatcher {
     }
 }
 
-/// A cheap, cloneable request-submission handle.
-#[derive(Debug, Clone)]
-pub struct BatcherHandle {
+/// The request-submission side of a [`MicroBatcher`].
+#[derive(Debug)]
+pub(crate) struct BatcherHandle {
     tx: mpsc::SyncSender<Job>,
     stats: Arc<ServeStats>,
     draining: Arc<AtomicBool>,
-    session: InferenceSession,
     queue_depth: usize,
 }
 
 impl BatcherHandle {
-    /// Submits one flat sample and blocks until its output row (or a typed
-    /// rejection) comes back.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the admission queue is full,
-    /// [`ServeError::ShuttingDown`] during drain, and whatever the forward
-    /// pass reports (`BadRequest` for a wrong-length sample).
-    pub fn infer_blocking(&self, sample: Vec<f32>) -> Result<Vec<f32>, ServeError> {
-        self.infer_with_deadline(sample, None)
-    }
-
-    /// Like [`infer_blocking`](Self::infer_blocking), but the request
-    /// carries an absolute deadline: if it is still queued when the
-    /// deadline passes, the worker sheds it with
-    /// [`ServeError::DeadlineExceeded`] instead of running inference.
-    ///
-    /// # Errors
-    ///
-    /// As [`infer_blocking`](Self::infer_blocking), plus
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn infer_with_deadline(
-        &self,
-        sample: Vec<f32>,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<f32>, ServeError> {
-        let (resp_tx, resp_rx) = mpsc::sync_channel(1);
-        self.submit(
-            self.session.clone(),
-            sample,
-            deadline,
-            Reply::Blocking(resp_tx),
-        )?;
-        match resp_rx.recv() {
-            Ok(result) => result,
-            // Worker exited between admission and execution — only
-            // possible on teardown.
-            Err(_) => Err(ServeError::ShuttingDown),
-        }
-    }
-
     /// Non-blocking submission for the event-loop front-end: the request
     /// runs on `session` (resolved against the registry at admission
-    /// time) and the result comes back as a [`Completion`] on `tx`,
-    /// tagged `(conn, seq)`.
+    /// time), carries an optional absolute `deadline` past which it is
+    /// shed with [`ServeError::DeadlineExceeded`] instead of run, and its
+    /// result comes back as a [`Completion`] on `tx`, tagged `(conn, seq)`.
     ///
     /// # Errors
     ///
@@ -315,17 +224,6 @@ impl BatcherHandle {
         seq: u64,
         tx: mpsc::Sender<Completion>,
     ) -> Result<(), ServeError> {
-        self.submit(session, sample, deadline, Reply::Event { conn, seq, tx })
-    }
-
-    /// Shared admission path: typed refusal, never blocks.
-    fn submit(
-        &self,
-        session: InferenceSession,
-        sample: Vec<f32>,
-        deadline: Option<Instant>,
-        resp: Reply,
-    ) -> Result<(), ServeError> {
         if self.draining.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
@@ -334,7 +232,7 @@ impl BatcherHandle {
             session,
             enqueued: Instant::now(),
             deadline,
-            resp,
+            resp: Reply { conn, seq, tx },
         };
         match self.tx.try_send(job) {
             Ok(()) => Ok(()),
@@ -347,11 +245,6 @@ impl BatcherHandle {
             Err(mpsc::TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
         }
     }
-
-    /// `true` once drain has begun.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
 }
 
 /// The worker: coalesce → execute → respond, until drained.
@@ -359,7 +252,7 @@ fn worker_loop(
     rx: &mpsc::Receiver<Job>,
     stats: &ServeStats,
     draining: &AtomicBool,
-    policy: &BatchPolicy,
+    max_batch: usize,
 ) {
     loop {
         let first = match rx.recv_timeout(IDLE_POLL) {
@@ -368,19 +261,19 @@ fn worker_loop(
                 if draining.load(Ordering::SeqCst) {
                     // Admission is closed; whatever try_recv still sees
                     // was accepted before the flag flipped. Execute it.
-                    drain_remaining(rx, stats, policy);
+                    drain_remaining(rx, stats, max_batch);
                     return;
                 }
                 continue;
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
         };
-        // An already-expired head is shed without opening a batch window.
+        // An already-expired head is shed without coalescing a batch.
         if first.expired(Instant::now()) {
             shed_expired(first, stats);
             continue;
         }
-        let batch = coalesce(rx, first, policy);
+        let batch = coalesce(rx, first, max_batch);
         let live = shed_expired_jobs(batch, stats);
         if !live.is_empty() {
             run_batches(stats, live);
@@ -412,26 +305,16 @@ fn shed_expired_jobs(jobs: Vec<Job>, stats: &ServeStats) -> Vec<Job> {
     live
 }
 
-/// Collects up to `max_batch` jobs, waiting at most `max_delay` past the
-/// first job's arrival.
-fn coalesce(rx: &mpsc::Receiver<Job>, first: Job, policy: &BatchPolicy) -> Vec<Job> {
-    let deadline = Instant::now() + policy.max_delay;
+/// Work-conserving coalescing: `first` plus the jobs already queued
+/// behind it, up to `max_batch`. Never waits for more to arrive.
+fn coalesce(rx: &mpsc::Receiver<Job>, first: Job, max_batch: usize) -> Vec<Job> {
     let mut jobs = vec![first];
-    while jobs.len() < policy.max_batch {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        match rx.recv_timeout(deadline - now) {
-            Ok(job) => jobs.push(job),
-            Err(_) => break,
-        }
-    }
+    jobs.extend(rx.try_iter().take(max_batch - 1));
     jobs
 }
 
 /// Executes everything still in the queue as final batches.
-fn drain_remaining(rx: &mpsc::Receiver<Job>, stats: &ServeStats, policy: &BatchPolicy) {
+fn drain_remaining(rx: &mpsc::Receiver<Job>, stats: &ServeStats, max_batch: usize) {
     let mut jobs = Vec::new();
     while let Ok(job) = rx.try_recv() {
         // Deadlines hold during drain too: expired queued work gets a
@@ -441,7 +324,7 @@ fn drain_remaining(rx: &mpsc::Receiver<Job>, stats: &ServeStats, policy: &BatchP
             continue;
         }
         jobs.push(job);
-        if jobs.len() == policy.max_batch {
+        if jobs.len() == max_batch {
             run_batches(stats, std::mem::take(&mut jobs));
         }
     }
@@ -451,13 +334,13 @@ fn drain_remaining(rx: &mpsc::Receiver<Job>, stats: &ServeStats, policy: &BatchP
 }
 
 /// Partitions a coalesced batch by plan identity (the `Arc` pointer of
-/// each job's frozen network) and executes one sub-batch per plan,
+/// each job's [`FrozenPlan`]) and executes one sub-batch per plan,
 /// preserving submission order within each plan. In the common
 /// single-model case this is one group and zero extra copies.
 fn run_batches(stats: &ServeStats, jobs: Vec<Job>) {
-    let mut groups: Vec<(*const apt_nn::Network, Vec<Job>)> = Vec::new();
+    let mut groups: Vec<(*const FrozenPlan, Vec<Job>)> = Vec::new();
     for job in jobs {
-        let key = Arc::as_ptr(job.session.network());
+        let key = Arc::as_ptr(job.session.plan());
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, group)) => group.push(job),
             None => groups.push((key, vec![job])),
@@ -504,6 +387,7 @@ mod tests {
     use super::*;
     use crate::{ModelArch, ModelSpec};
     use apt_nn::checkpoint;
+    use std::sync::Barrier;
 
     fn session() -> InferenceSession {
         let spec = ModelSpec {
@@ -517,12 +401,46 @@ mod tests {
         InferenceSession::from_checkpoint(&spec, &blob).unwrap()
     }
 
+    fn batcher(policy: &BatchPolicy) -> MicroBatcher {
+        MicroBatcher::spawn(policy, Arc::new(ServeStats::default())).unwrap()
+    }
+
+    /// A job on `session` whose sample is all 0.7, answered on `tx`.
+    fn job(session: &InferenceSession, seq: u64, tx: &mpsc::Sender<Completion>) -> Job {
+        Job {
+            sample: vec![0.7; session.sample_len()],
+            session: session.clone(),
+            enqueued: Instant::now(),
+            deadline: None,
+            resp: Reply {
+                conn: 1,
+                seq,
+                tx: tx.clone(),
+            },
+        }
+    }
+
+    /// Submits one sample the way the reactor does and waits on its
+    /// completion channel, decoding the output row. A completion sender
+    /// dropped unanswered (worker teardown) reads as `ShuttingDown`.
+    fn infer(
+        h: &BatcherHandle,
+        session: &InferenceSession,
+        sample: Vec<f32>,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<f32>, ServeError> {
+        let (tx, rx) = mpsc::channel();
+        h.submit_event(session.clone(), sample, deadline, 0, 0, tx)?;
+        let done = rx.recv().map_err(|_| ServeError::ShuttingDown)?;
+        crate::protocol::decode_f32s(&done.result?)
+    }
+
     #[test]
     fn single_request_round_trip() {
         let s = session();
         let want = s.infer_one(&[0.3; 5]).unwrap();
-        let batcher = MicroBatcher::new(s, BatchPolicy::default()).unwrap();
-        let got = batcher.handle().infer_blocking(vec![0.3; 5]).unwrap();
+        let batcher = batcher(&BatchPolicy::default());
+        let got = infer(&batcher.handle(), &s, vec![0.3; 5], None).unwrap();
         assert_eq!(got, want);
         let snap = batcher.stats();
         assert_eq!(snap.completed, 1);
@@ -530,21 +448,45 @@ mod tests {
     }
 
     #[test]
+    fn coalesce_takes_only_what_is_already_queued() {
+        let s = session();
+        let (done, _done_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(16);
+        for (queued, max_batch) in [(0, 4), (2, 4), (3, 4), (7, 4), (5, 1)] {
+            for seq in 0..queued {
+                tx.send(job(&s, seq, &done)).unwrap();
+            }
+            // `tx` stays live, so a waiting coalescer would block here.
+            let batch = coalesce(&rx, job(&s, u64::MAX, &done), max_batch);
+            let want = (queued as usize + 1).min(max_batch);
+            assert_eq!(batch.len(), want, "{queued} queued, max_batch {max_batch}");
+            let seqs: Vec<u64> = batch.iter().map(|j| j.resp.seq).collect();
+            let mut expect = vec![u64::MAX];
+            expect.extend(0..want as u64 - 1);
+            assert_eq!(seqs, expect, "head first, then queue order");
+            assert_eq!(rx.try_iter().count(), queued as usize + 1 - want);
+        }
+    }
+
+    #[test]
     fn concurrent_requests_batch_and_match_single_sample() {
         let s = session();
         let policy = BatchPolicy {
             max_batch: 4,
-            max_delay: Duration::from_millis(20),
             queue_depth: 64,
         };
-        let batcher = MicroBatcher::new(s.clone(), policy).unwrap();
+        let batcher = batcher(&policy);
+        const N: usize = 12;
+        let start = Arc::new(Barrier::new(N));
         let mut threads = Vec::new();
-        for t in 0..12 {
+        for t in 0..N {
             let h = batcher.handle();
             let s = s.clone();
+            let start = Arc::clone(&start);
             threads.push(thread::spawn(move || {
                 let sample = vec![t as f32 * 0.1; 5];
-                let got = h.infer_blocking(sample.clone()).unwrap();
+                start.wait();
+                let got = infer(&h, &s, sample.clone(), None).unwrap();
                 let want = s.infer_one(&sample).unwrap();
                 assert_eq!(got, want, "batched result must be bit-identical");
             }));
@@ -564,30 +506,32 @@ mod tests {
 
     #[test]
     fn wrong_length_sample_fails_typed() {
-        let batcher = MicroBatcher::new(session(), BatchPolicy::default()).unwrap();
-        let err = batcher.handle().infer_blocking(vec![1.0; 3]).unwrap_err();
+        let batcher = batcher(&BatchPolicy::default());
+        let err = infer(&batcher.handle(), &session(), vec![1.0; 3], None).unwrap_err();
         assert!(matches!(err, ServeError::BadRequest { .. }), "{err}");
         assert_eq!(batcher.stats().errors, 1);
     }
 
     #[test]
     fn shutdown_rejects_new_requests() {
-        let mut batcher = MicroBatcher::new(session(), BatchPolicy::default()).unwrap();
+        let mut batcher = batcher(&BatchPolicy::default());
         let h = batcher.handle();
         batcher.shutdown();
-        assert!(h.is_draining());
+        let (tx, rx) = mpsc::channel();
         assert!(matches!(
-            h.infer_blocking(vec![0.0; 5]),
+            h.submit_event(session(), vec![0.0; 5], None, 0, 0, tx),
             Err(ServeError::ShuttingDown)
         ));
+        assert!(rx.recv().is_err(), "a refused request gets no completion");
     }
 
     #[test]
     fn expired_deadline_is_shed_before_inference() {
-        let batcher = MicroBatcher::new(session(), BatchPolicy::default()).unwrap();
+        let s = session();
+        let batcher = batcher(&BatchPolicy::default());
         let h = batcher.handle();
         let past = Instant::now() - Duration::from_millis(5);
-        match h.infer_with_deadline(vec![0.2; 5], Some(past)) {
+        match infer(&h, &s, vec![0.2; 5], Some(past)) {
             Err(ServeError::DeadlineExceeded { .. }) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
@@ -596,7 +540,7 @@ mod tests {
         assert_eq!(snap.completed, 0, "expired work must never run");
         // A live deadline still gets a real answer.
         let future = Instant::now() + Duration::from_secs(30);
-        assert!(h.infer_with_deadline(vec![0.2; 5], Some(future)).is_ok());
+        assert!(infer(&h, &s, vec![0.2; 5], Some(future)).is_ok());
         assert_eq!(batcher.stats().completed, 1);
     }
 
@@ -609,21 +553,21 @@ mod tests {
         let s = session();
         let policy = BatchPolicy {
             max_batch: 4,
-            max_delay: Duration::from_millis(25),
             queue_depth: 64,
         };
-        let mut batcher = MicroBatcher::new(s.clone(), policy).unwrap();
+        let mut batcher = batcher(&policy);
         const N: usize = 24;
         let mut threads = Vec::new();
         for t in 0..N {
             let h = batcher.handle();
             let s = s.clone();
-            // Odd requests carry a deadline that will expire while they sit
-            // behind the 25ms coalescing windows of earlier batches.
+            // Odd requests carry a 10ms deadline that may or may not pass
+            // before the worker reaches them; either way the answer must
+            // be typed.
             let deadline = (t % 2 == 1).then(|| Instant::now() + Duration::from_millis(10));
             threads.push(thread::spawn(move || {
                 let sample = vec![t as f32 * 0.05; 5];
-                let result = h.infer_with_deadline(sample.clone(), deadline);
+                let result = infer(&h, &s, sample.clone(), deadline);
                 let want = s.infer_one(&sample).unwrap();
                 (result, want)
             }));
@@ -676,7 +620,7 @@ mod tests {
     fn mixed_plan_batch_splits_and_stays_exact() {
         // Two distinct plans with identical geometry but different weights:
         // interleaved submissions must each run on the plan they were
-        // resolved against, even when coalesced into one queue window.
+        // resolved against, even when coalesced into one batch.
         let spec = ModelSpec {
             arch: ModelArch::Mlp(vec![5, 8, 3]),
             classes: 3,
@@ -703,10 +647,9 @@ mod tests {
 
         let policy = BatchPolicy {
             max_batch: 16,
-            max_delay: Duration::from_millis(30),
             queue_depth: 64,
         };
-        let batcher = MicroBatcher::new(a.clone(), policy).unwrap();
+        let batcher = batcher(&policy);
         let h = batcher.handle();
         let (tx, rx) = mpsc::channel();
         const N: u64 = 10;
@@ -715,33 +658,45 @@ mod tests {
             h.submit_event(session, sample.clone(), None, 1, seq, tx.clone())
                 .unwrap();
         }
-        let mut seen = 0;
-        while seen < N {
-            let c = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            let payload = c.result.expect("no typed failures expected");
-            let row = crate::protocol::decode_f32s(&payload).unwrap();
-            let want = if c.seq % 2 == 0 { &want_a } else { &want_b };
-            assert_eq!(&row, want, "seq {} answered by the wrong plan", c.seq);
-            seen += 1;
-        }
+        let check = |rx: &mpsc::Receiver<Completion>| {
+            for _ in 0..N {
+                let c = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+                let payload = c.result.expect("no typed failures expected");
+                let row = crate::protocol::decode_f32s(&payload).unwrap();
+                let want = [&want_a, &want_b][(c.seq % 2) as usize];
+                assert_eq!(&row, want, "seq {} answered by the wrong plan", c.seq);
+            }
+        };
+        check(&rx);
         assert_eq!(batcher.stats().completed, N);
+
+        // Whatever the worker happened to coalesce above, one interleaved
+        // batch runs as exactly one sub-batch per plan.
+        let stats = ServeStats::default();
+        let jobs = (0..N)
+            .map(|seq| job(if seq % 2 == 0 { &a } else { &b }, seq, &tx))
+            .collect();
+        run_batches(&stats, jobs);
+        check(&rx);
+        assert_eq!(stats.snapshot().batches, 2);
     }
 
     #[test]
     fn overload_sheds_with_typed_error() {
-        // A policy that admits one queued request at a time, with a worker
-        // slow to pick up (max_delay stretches batch assembly).
+        // A policy that admits one queued request at a time and runs one
+        // per batch, so 16 concurrent callers overrun the queue.
         let policy = BatchPolicy {
             max_batch: 1,
-            max_delay: Duration::from_micros(1),
             queue_depth: 1,
         };
-        let batcher = MicroBatcher::new(session(), policy).unwrap();
+        let batcher = batcher(&policy);
+        let s = session();
         let mut threads = Vec::new();
         for _ in 0..16 {
             let h = batcher.handle();
+            let s = s.clone();
             threads.push(thread::spawn(move || {
-                h.infer_blocking(vec![0.5; 5]).map(|_| ())
+                infer(&h, &s, vec![0.5; 5], None).map(|_| ())
             }));
         }
         let results: Vec<Result<(), ServeError>> =

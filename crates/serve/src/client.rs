@@ -1,8 +1,8 @@
 //! A small blocking client for the serving protocol.
 //!
 //! Used by the examples, the bench harness, and the integration tests;
-//! applications embedding the runtime in-process should talk to
-//! [`crate::BatcherHandle`] directly instead.
+//! applications embedding the runtime in-process should call an
+//! [`crate::InferenceSession`] directly instead.
 //!
 //! Two robustness layers are opt-in:
 //!

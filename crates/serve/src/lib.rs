@@ -13,11 +13,13 @@
 //!    float reassociation of the trainer's `Mode::Eval` forward, while the
 //!    opt-in `int-gemm` lane serves linear layers dequant-free from packed
 //!    integer panels (bit-close, documented bound).
-//! 2. **[`MicroBatcher`]** — a dynamic micro-batcher that coalesces
-//!    single-sample requests from an MPSC queue under a
-//!    [`BatchPolicy`] (`max_batch` / `max_delay_us`), executes them as one
-//!    batched forward on the `apt_tensor::par` worker pool, and applies
-//!    admission control: a bounded queue sheds excess load with a typed
+//! 2. **Micro-batcher** — a work-conserving batcher behind the server
+//!    that takes the first queued single-sample request plus whatever is
+//!    already queued behind it, up to [`BatchPolicy::max_batch`], and
+//!    executes them at once as one batched forward on the
+//!    `apt_tensor::par` worker pool. It never waits for co-batchees, so a
+//!    lone request is served immediately. Admission control is typed: a
+//!    bounded queue ([`BatchPolicy::queue_depth`]) sheds excess load with
 //!    [`ServeError::Overloaded`] instead of building an unbounded backlog.
 //!    Batching is lossless — batch-invariant kernels mean a coalesced
 //!    batch answers every request bit-identically to running it alone.
@@ -64,7 +66,7 @@ mod stats;
 pub mod protocol;
 
 pub use apt_nn::KernelLane;
-pub use batcher::{BatchPolicy, BatcherHandle, MicroBatcher};
+pub use batcher::BatchPolicy;
 pub use client::{ClientConfig, RetryPolicy, ServeClient};
 pub use error::ServeError;
 pub use registry::{ModelInfo, ModelRegistry, PublishOutcome, RegistryConfig, RescanReport};

@@ -19,7 +19,7 @@
 //!   not draining its responses for [`ConnLimits::read_timeout`] is reaped
 //!   (`slow_reaped`).
 //! * **Request deadline** — every infer request carries
-//!   `now + request_timeout` into the [`MicroBatcher`]; work still queued
+//!   `now + request_timeout` into the micro-batcher; work still queued
 //!   at its deadline is shed with [`ServeError::DeadlineExceeded`]
 //!   *before* inference runs.
 //! * **Pipelining bound + fairness** — at most
@@ -32,14 +32,14 @@
 //! channel tagged with a connection token and per-connection sequence
 //! number, so responses are written strictly in request order.
 
-use crate::batcher::Completion;
+use crate::batcher::{BatcherHandle, Completion, MicroBatcher};
 use crate::protocol::{
     self, FrameDecoder, OP_HEALTH, OP_INFER, OP_INFER_MODEL, OP_RELOAD, OP_STATS,
     STATUS_BAD_REQUEST, STATUS_OK, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
 };
 use crate::{
-    BatchPolicy, BatcherHandle, InferenceSession, MicroBatcher, ModelRegistry, RegistryConfig,
-    ServeError, ServeStats, StatsSnapshot,
+    BatchPolicy, InferenceSession, ModelRegistry, RegistryConfig, ServeError, ServeStats,
+    StatsSnapshot,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
@@ -185,19 +185,20 @@ impl Server {
         config: ServerConfig,
     ) -> Result<Server, ServeError> {
         config.limits.validate()?;
-        let default_session = registry.get(&config.model_name)?;
+        // The default model must be resident at start.
+        registry.get(&config.model_name)?;
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stats = registry.stats_handle();
-        let batcher = MicroBatcher::with_stats(default_session, config.policy.clone(), stats)?;
+        let batcher = MicroBatcher::spawn(&config.policy, Arc::clone(&stats))?;
         let stop = Arc::new(AtomicBool::new(false));
         let reactor_thread = {
             let ctx = ConnCtx {
                 handle: batcher.handle(),
                 registry: Arc::clone(&registry),
                 default_model: config.model_name,
-                stats: batcher.stats_handle(),
+                stats,
                 reload_busy: Arc::new(AtomicBool::new(false)),
             };
             let stop = Arc::clone(&stop);

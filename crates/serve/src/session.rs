@@ -294,6 +294,12 @@ impl InferenceSession {
         &self.net
     }
 
+    /// The compiled program every request executes; the batcher groups
+    /// requests by its `Arc` identity.
+    pub(crate) fn plan(&self) -> &Arc<FrozenPlan> {
+        &self.plan
+    }
+
     /// The compile report of the frozen plan. Always `Some`: every
     /// session serves from a compiled plan.
     pub fn plan_report(&self) -> Option<&PlanReport> {

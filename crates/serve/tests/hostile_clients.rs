@@ -340,7 +340,7 @@ fn shutdown_notice_is_typed_on_idle_connections() {
 
 #[test]
 fn retry_policy_rides_out_overload() {
-    // Tiny queue on a slow batch window: bare sends shed; retried sends
+    // Tiny queue, one request per batch: bare sends shed; retried sends
     // eventually land.
     let s = session();
     let server = Server::start(
@@ -349,7 +349,6 @@ fn retry_policy_rides_out_overload() {
             addr: "127.0.0.1:0".to_string(),
             policy: BatchPolicy {
                 max_batch: 1,
-                max_delay: Duration::from_micros(1),
                 queue_depth: 1,
             },
             model_name: "retry-test".to_string(),

@@ -67,7 +67,6 @@ fn infer_over_tcp_is_bit_exact() {
 fn concurrent_clients_lose_nothing() {
     let policy = BatchPolicy {
         max_batch: 8,
-        max_delay: std::time::Duration::from_micros(500),
         queue_depth: 256,
     };
     let (mut server, local) = start_server(&[4, 12, 3], policy);

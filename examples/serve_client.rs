@@ -37,9 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let session = InferenceSession::from_checkpoint(&spec, &blob)?;
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(), // ephemeral port
+        // The batcher is work-conserving: each forward pass takes the
+        // requests already queued, up to `max_batch`, and never waits for
+        // more to arrive.
         policy: BatchPolicy {
             max_batch: 8,
-            max_delay: Duration::from_micros(2000),
             queue_depth: 64,
         },
         model_name: "mlp:48-32-10".to_string(),

@@ -83,7 +83,8 @@ serving:
                         integer codes; bit-close, not bit-exact)
                                                       [default dequant-cache]
   --max-batch N         micro-batch coalescing cap    [default 8]
-  --max-delay-us N      batching window in microsecs  [default 2000]
+                        (work-conserving: a batch takes only requests
+                        already queued and never waits for more)
   --queue-depth N       admission queue bound         [default 128]
   --threads N           compute pool size             [default all cores]
   --stats-every SECS    print serving stats period    [default 10, 0 = off]
@@ -285,9 +286,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
                 })?
             }
             "--max-batch" => out.policy.max_batch = parse_flag(flag, value)?,
-            "--max-delay-us" => {
-                out.policy.max_delay = Duration::from_micros(parse_flag(flag, value)?)
-            }
             "--queue-depth" => out.policy.queue_depth = parse_flag(flag, value)?,
             "--max-conns" => out.limits.max_connections = parse_flag(flag, value)?,
             "--idle-timeout-ms" => {
@@ -433,10 +431,8 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         );
     }
     println!(
-        "policy: max_batch {}, max_delay {}µs, queue_depth {}",
-        a.policy.max_batch,
-        a.policy.max_delay.as_micros(),
-        a.policy.queue_depth
+        "policy: max_batch {}, queue_depth {}",
+        a.policy.max_batch, a.policy.queue_depth
     );
     println!(
         "limits: max_conns {}, idle {}ms, read {}ms, request {}ms, pipeline {}",
@@ -780,6 +776,7 @@ mod tests {
         assert_usage(serve(&["--lane", "fp32"]), "--lane");
         assert_usage(serve(&["--no-freeze"]), "--no-freeze");
         assert_usage(serve(&["--no-freeze", "--lane", "int-gemm"]), "--no-freeze");
+        assert_usage(serve(&["--max-delay-us", "2000"]), "--max-delay-us");
         assert!(serve(&["--lane", "int-gemm"]).is_ok());
     }
 
