@@ -95,9 +95,11 @@ fn kernels() -> Vec<Kernel> {
         });
     }
 
-    {
-        // conv: 8 images, 8→16 channels, 16×16, 3×3 kernel, pad 1.
-        let (n, c_in, c_out, hw, k) = (8usize, 8usize, 16usize, 16usize, 3usize);
+    // conv, 3×3 kernel, pad 1: 8 images 8→16 channels at 16×16, and the
+    // shape of the first ResNet-20 stage that `perfbench`'s train_apt
+    // workload trains (32 images, 4→4 channels at 12×12).
+    for (n, c_in, c_out, hw) in [(8usize, 8usize, 16usize, 16usize), (32, 4, 4, 12)] {
+        let k = 3usize;
         let p = Conv2dParams::new(1, 1, 1);
         let x = tensor(&[n, c_in, hw, hw], 7);
         let w = tensor(&[c_out, c_in, k, k], 8);

@@ -14,17 +14,23 @@
 //!
 //! The im2col/col2im staging matrices live in a per-thread scratch
 //! buffer that is grown once and reused for every subsequent call, so
-//! steady-state training allocates nothing here beyond the output
-//! tensor. The GEMMs run on the scratch slices directly via the
-//! `pub(crate)` kernels in `matmul_impl`. Forward and backward-input are
-//! parallelised over images (each image owns a disjoint output slice);
-//! backward-weight keeps its image loop serial — every image's
-//! contribution is `+=`-accumulated into the same weight gradient, and
-//! the serial loop pins that accumulation order — while the GEMM inside
-//! each image parallelises over output rows. All of it is bit-identical
-//! for every thread count.
+//! steady-state training allocates nothing here beyond the output tensor
+//! (and, for backward-weight, one weight-sized staging buffer). The GEMMs
+//! run on the scratch slices directly via the `pub(crate)` kernels in
+//! `matmul_impl`.
+//!
+//! Forward and backward-input are parallelised over images: each image
+//! owns a disjoint output slice. Backward-weight sums a contribution from
+//! every image into the same dW, so it is parallelised over im2col rows
+//! (dW's columns) instead, in one parallel region per call. Each chunk of
+//! rows lowers only its own rows of each image (`im2col_rows`, straight
+//! into the packed Bᵀ layout of the `dY · colᵀ` GEMM) and runs the images
+//! in ascending order, calling the serial GEMM core once per image; the
+//! chunks' blocks are then copied into dW. Every kernel keeps each
+//! element's accumulation order fixed, so all three are bit-identical for
+//! every thread count.
 
-use crate::ops::matmul_impl::{gemm, gemm_a_bt, gemm_at_b};
+use crate::ops::matmul_impl::{a_packed_bt_rows, gemm, gemm_at_b};
 use crate::{par, Result, Tensor, TensorError};
 use std::cell::RefCell;
 
@@ -83,24 +89,22 @@ impl Conv2dParams {
         (in_size + 2 * self.padding).saturating_sub(kernel) / self.stride + 1
     }
 
+    /// Checks operand dims and returns `(n, c_in, h, w, c_out, kh, kw)`.
+    /// Takes dims, not tensors, so the backward kernels validate without
+    /// materialising the operand they only know the shape of.
     fn validate(
         &self,
-        input: &Tensor,
-        weight: &Tensor,
+        input: &[usize],
+        weight: &[usize],
     ) -> Result<(usize, usize, usize, usize, usize, usize, usize)> {
-        if input.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                op: "conv2d",
-                expected: 4,
-                actual: input.rank(),
-            });
-        }
-        if weight.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                op: "conv2d",
-                expected: 4,
-                actual: weight.rank(),
-            });
+        for dims in [input, weight] {
+            if dims.len() != 4 {
+                return Err(TensorError::RankMismatch {
+                    op: "conv2d",
+                    expected: 4,
+                    actual: dims.len(),
+                });
+            }
         }
         if self.stride == 0 {
             return Err(TensorError::InvalidArgument {
@@ -108,18 +112,8 @@ impl Conv2dParams {
                 reason: "stride must be >= 1".into(),
             });
         }
-        let (n, c_in, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
-        let (c_out, c_in_per_group, kh, kw) = (
-            weight.dims()[0],
-            weight.dims()[1],
-            weight.dims()[2],
-            weight.dims()[3],
-        );
+        let (n, c_in, h, w) = (input[0], input[1], input[2], input[3]);
+        let (c_out, c_in_per_group, kh, kw) = (weight[0], weight[1], weight[2], weight[3]);
         if self.groups == 0 || c_in % self.groups != 0 || c_out % self.groups != 0 {
             return Err(TensorError::InvalidArgument {
                 op: "conv2d",
@@ -132,8 +126,8 @@ impl Conv2dParams {
         if c_in / self.groups != c_in_per_group {
             return Err(TensorError::ShapeMismatch {
                 op: "conv2d",
-                lhs: input.dims().to_vec(),
-                rhs: weight.dims().to_vec(),
+                lhs: input.to_vec(),
+                rhs: weight.to_vec(),
             });
         }
         if h + 2 * self.padding < kh || w + 2 * self.padding < kw {
@@ -146,14 +140,19 @@ impl Conv2dParams {
     }
 }
 
-/// Lowers one image's group-slice into the im2col matrix
-/// `[c_g·kh·kw, oh·ow]`. Shared with [`crate::ops::fused`] so the fused
-/// conv epilogue kernel stages patches exactly like [`conv2d`] does.
+/// Lowers im2col rows `row0..row0 + rows` of one image into `col`, where
+/// `rows = col.len() / (oh·ow)`. Row `r` is input channel `r / (kh·kw)` at
+/// kernel tap `(r / kw % kh, r % kw)`, so group `grp`'s rows are the
+/// contiguous range starting at `grp·c_in_g·kh·kw`. Without `TRANSPOSED`,
+/// `col` is the row-major `[rows, oh·ow]` matrix that [`conv2d`] and
+/// [`crate::ops::fused`] feed to `gemm` one group at a time; with it, `col`
+/// is the packed `[oh·ow, rows]` Bᵀ panel that [`conv2d_backward_weight`]
+/// feeds to `a_packed_bt_rows` one chunk segment at a time. The layout is
+/// a const parameter, and the row-major path keeps its own fill and copy
+/// loops, because a runtime switch measurably slowed the forward lowering.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col_group(
+pub(crate) fn im2col_rows<const TRANSPOSED: bool>(
     input: &[f32],
-    c_start: usize,
-    c_g: usize,
     h: usize,
     w: usize,
     kh: usize,
@@ -161,18 +160,42 @@ pub(crate) fn im2col_group(
     p: &Conv2dParams,
     oh: usize,
     ow: usize,
+    row0: usize,
     col: &mut [f32],
 ) {
-    let col_w = oh * ow;
-    for c in 0..c_g {
-        let chan = &input[(c_start + c) * h * w..(c_start + c + 1) * h * w];
+    let (col_w, rows) = (oh * ow, col.len() / (oh * ow));
+    if rows == 0 {
+        return;
+    }
+    for c in row0 / (kh * kw)..=(row0 + rows - 1) / (kh * kw) {
+        let chan = &input[c * h * w..(c + 1) * h * w];
         for ki in 0..kh {
             for kj in 0..kw {
-                let row = ((c * kh + ki) * kw + kj) * col_w;
+                let Some(r) = ((c * kh + ki) * kw + kj)
+                    .checked_sub(row0)
+                    .filter(|&r| r < rows)
+                else {
+                    continue;
+                };
                 for oi in 0..oh {
                     let ii = (oi * p.stride + ki) as isize - p.padding as isize;
-                    let dst = &mut col[row + oi * ow..row + (oi + 1) * ow];
-                    if ii < 0 || ii as usize >= h {
+                    let in_h = ii >= 0 && (ii as usize) < h;
+                    let tap = |oj: usize| {
+                        let jj = (oj * p.stride + kj) as isize - p.padding as isize;
+                        if in_h && jj >= 0 && (jj as usize) < w {
+                            chan[ii as usize * w + jj as usize]
+                        } else {
+                            0.0
+                        }
+                    };
+                    if TRANSPOSED {
+                        for oj in 0..ow {
+                            col[(oi * ow + oj) * rows + r] = tap(oj);
+                        }
+                        continue;
+                    }
+                    let dst = &mut col[r * col_w + oi * ow..r * col_w + (oi + 1) * ow];
+                    if !in_h {
                         dst.fill(0.0);
                         continue;
                     }
@@ -242,7 +265,7 @@ fn col2im_group(
 /// Returns shape/rank/argument errors for malformed operands; see
 /// [`Conv2dParams`].
 pub fn conv2d(input: &Tensor, weight: &Tensor, params: &Conv2dParams) -> Result<Tensor> {
-    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input, weight)?;
+    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input.dims(), weight.dims())?;
     let (oh, ow) = (params.out_size(h, kh), params.out_size(w, kw));
     let g = params.groups;
     let (c_in_g, c_out_g) = (c_in / g, c_out / g);
@@ -263,19 +286,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, params: &Conv2dParams) -> Result<
             let in_img = &in_data[img * c_in * h * w..(img + 1) * c_in * h * w];
             with_col_scratch(col_rows * col_w, |col| {
                 for grp in 0..g {
-                    im2col_group(
-                        in_img,
-                        grp * c_in_g,
-                        c_in_g,
-                        h,
-                        w,
-                        kh,
-                        kw,
-                        params,
-                        oh,
-                        ow,
-                        col,
-                    );
+                    im2col_rows::<false>(in_img, h, w, kh, kw, params, oh, ow, grp * col_rows, col);
                     let w_grp = &w_data[grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
                     let dst = &mut out_img[grp * c_out_g * col_w..(grp + 1) * c_out_g * col_w];
                     gemm(w_grp, col, dst, c_out_g, col_rows, col_w);
@@ -309,8 +320,7 @@ pub fn conv2d_backward_input(
             actual: input_dims.len(),
         });
     }
-    let probe = Tensor::zeros(input_dims);
-    let (n, c_in, h, w, c_out, kh, kw) = params.validate(&probe, weight)?;
+    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input_dims, weight.dims())?;
     let (oh, ow) = (params.out_size(h, kh), params.out_size(w, kw));
     if grad_output.dims() != [n, c_out, oh, ow] {
         return Err(TensorError::ShapeMismatch {
@@ -368,6 +378,23 @@ pub fn conv2d_backward_input(
     Ok(grad_in)
 }
 
+/// Fewest im2col rows in a [`conv2d_backward_weight`] chunk. Each chunk
+/// runs one `dY · colᵀ` GEMM per image whose output width is its row
+/// count; below this the GEMM is too narrow to vectorise and the per-image
+/// call overhead dominates.
+const MIN_CHUNK_ROWS: usize = 16;
+
+/// Im2col rows per [`conv2d_backward_weight`] chunk for `rows` rows that
+/// each cost `row_cost` scalar ops over the whole batch. Shape-only, as
+/// every `par` chunking is.
+fn backward_weight_chunk_rows(rows: usize, row_cost: usize) -> usize {
+    if par::worth_parallelising(rows * row_cost) {
+        par::chunk_items(rows, row_cost).max(MIN_CHUNK_ROWS)
+    } else {
+        rows
+    }
+}
+
 /// Gradient of [`conv2d`] w.r.t. the weights.
 ///
 /// Returns a tensor shaped like `weight_dims = [c_out, c_in/groups, kh, kw]`.
@@ -388,8 +415,7 @@ pub fn conv2d_backward_weight(
             actual: weight_dims.len(),
         });
     }
-    let probe = Tensor::zeros(weight_dims);
-    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input, &probe)?;
+    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input.dims(), weight_dims)?;
     let (oh, ow) = (params.out_size(h, kh), params.out_size(w, kw));
     if grad_output.dims() != [n, c_out, oh, ow] {
         return Err(TensorError::ShapeMismatch {
@@ -404,34 +430,63 @@ pub fn conv2d_backward_weight(
     let col_w = oh * ow;
 
     let mut grad_w = Tensor::zeros(weight_dims);
-    // Images stay serial on purpose: every image accumulates into the
-    // same dW, and the serial loop fixes that order. The per-image GEMM
-    // below still parallelises over dW rows (disjoint chunks).
-    for img in 0..n {
-        let in_img = &input.data()[img * c_in * h * w..(img + 1) * c_in * h * w];
-        with_col_scratch(col_rows * col_w, |col| {
-            for grp in 0..g {
-                im2col_group(
-                    in_img,
-                    grp * c_in_g,
-                    c_in_g,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                    params,
-                    oh,
-                    ow,
-                    col,
-                );
-                let go_base = img * c_out * col_w + grp * c_out_g * col_w;
-                let go = &grad_output.data()[go_base..go_base + c_out_g * col_w];
-                // dW[c_out_g, col_rows] += dY · colᵀ
-                let dst = &mut grad_w.data_mut()
-                    [grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
-                gemm_a_bt(go, col, dst, c_out_g, col_rows, col_w);
+    if n == 0 || grad_w.is_empty() {
+        return Ok(grad_w);
+    }
+    // One parallel region over im2col rows, i.e. over dW's columns. A
+    // chunk lowers only its own rows of each image and runs the images
+    // ascending, so every dW element sums its per-image dots in the same
+    // order as a serial image loop. A chunk may straddle a group
+    // boundary, so it works per group segment: each segment's rows pair
+    // with that group's dY, and its `[c_out_g, seg_len]` block of dW
+    // lands in `staged` at the segment's offset within the chunk.
+    let rows = g * col_rows;
+    let rows_per_chunk = backward_weight_chunk_rows(rows, 2 * n * c_out_g * col_w);
+    let segments = |row0: usize, row_end: usize| {
+        (row0 / col_rows..=(row_end - 1) / col_rows).map(move |grp| {
+            (
+                grp,
+                row0.max(grp * col_rows)..row_end.min((grp + 1) * col_rows),
+            )
+        })
+    };
+    let mut staged = vec![0.0f32; rows * c_out_g];
+    let (in_data, go_data) = (input.data(), grad_output.data());
+    par::for_each_chunk_mut(&mut staged, rows_per_chunk * c_out_g, |ci, chunk| {
+        let row0 = ci * rows_per_chunk;
+        let row_end = row0 + chunk.len() / c_out_g;
+        with_col_scratch((row_end - row0) * col_w, |col| {
+            for img in 0..n {
+                let in_img = &in_data[img * c_in * h * w..(img + 1) * c_in * h * w];
+                for (grp, seg) in segments(row0, row_end) {
+                    let go_base = (img * c_out + grp * c_out_g) * col_w;
+                    let go = &go_data[go_base..go_base + c_out_g * col_w];
+                    let col_t = &mut col[..seg.len() * col_w];
+                    im2col_rows::<true>(in_img, h, w, kh, kw, params, oh, ow, seg.start, col_t);
+                    let (a, b) = (seg.start - row0, seg.end - row0);
+                    // dW[c_out_g, seg] += dY · col[seg]ᵀ
+                    a_packed_bt_rows(
+                        go,
+                        col_t,
+                        &mut chunk[a * c_out_g..b * c_out_g],
+                        0,
+                        b - a,
+                        col_w,
+                    );
+                }
             }
         });
+    });
+    let dw = grad_w.data_mut();
+    for (ci, chunk) in staged.chunks(rows_per_chunk * c_out_g).enumerate() {
+        let row0 = ci * rows_per_chunk;
+        for (grp, seg) in segments(row0, row0 + chunk.len() / c_out_g) {
+            let block = &chunk[(seg.start - row0) * c_out_g..(seg.end - row0) * c_out_g];
+            for (co, src) in block.chunks_exact(seg.len()).enumerate() {
+                let dst = (grp * c_out_g + co) * col_rows + seg.start - grp * col_rows;
+                dw[dst..dst + seg.len()].copy_from_slice(src);
+            }
+        }
     }
     Ok(grad_w)
 }
@@ -439,6 +494,7 @@ pub fn conv2d_backward_weight(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::matmul_impl::gemm_a_bt;
     use crate::rng;
 
     /// Direct (non-im2col) reference convolution.
@@ -607,6 +663,93 @@ mod tests {
                 gw.data()[k]
             );
         }
+    }
+
+    /// The per-image backward-weight loop this kernel replaced: images
+    /// serial, one `dY · colᵀ` GEMM per image and group into dW.
+    fn backward_weight_oracle(
+        input: &Tensor,
+        grad_output: &Tensor,
+        weight_dims: &[usize],
+        p: &Conv2dParams,
+    ) -> Tensor {
+        let (n, c_in, h, w) = (
+            input.dims()[0],
+            input.dims()[1],
+            input.dims()[2],
+            input.dims()[3],
+        );
+        let (c_out, kh, kw) = (weight_dims[0], weight_dims[2], weight_dims[3]);
+        let (oh, ow) = (p.out_size(h, kh), p.out_size(w, kw));
+        let g = p.groups;
+        let c_out_g = c_out / g;
+        let col_rows = c_in / g * kh * kw;
+        let col_w = oh * ow;
+        let mut grad_w = Tensor::zeros(weight_dims);
+        let mut col = vec![0.0f32; col_rows * col_w];
+        for img in 0..n {
+            let in_img = &input.data()[img * c_in * h * w..(img + 1) * c_in * h * w];
+            for grp in 0..g {
+                im2col_rows::<false>(in_img, h, w, kh, kw, p, oh, ow, grp * col_rows, &mut col);
+                let go_base = (img * c_out + grp * c_out_g) * col_w;
+                let go = &grad_output.data()[go_base..go_base + c_out_g * col_w];
+                let dst = &mut grad_w.data_mut()
+                    [grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
+                gemm_a_bt(go, &col, dst, c_out_g, col_rows, col_w);
+            }
+        }
+        grad_w
+    }
+
+    #[test]
+    fn backward_weight_is_bit_identical_to_per_image_oracle() {
+        let mut r = rng::seeded(15);
+        let mut split_groups = 0;
+        // (n, c_in, c_out, hw, groups): dense, grouped and depthwise, with
+        // c_out/groups on both sides of the oracle GEMM's packing cutoff.
+        for &(n, c_in, c_out, hw, g) in &[
+            (3usize, 5usize, 6usize, 9usize, 1usize),
+            (2, 4, 16, 8, 1),
+            (3, 6, 4, 9, 2),
+            (2, 6, 16, 7, 2),
+            (4, 8, 8, 16, 8),
+            (2, 3, 2, 5, 1),
+        ] {
+            for &(stride, padding) in &[(1, 0), (1, 1), (2, 0), (2, 1)] {
+                let p = Conv2dParams::new(stride, padding, g);
+                let x = rng::normal(&[n, c_in, hw, hw], 1.0, &mut r);
+                let w_dims = [c_out, c_in / g, 3, 3];
+                let oh = p.out_size(hw, 3);
+                let go = rng::normal(&[n, c_out, oh, oh], 1.0, &mut r);
+                let want: Vec<u32> = backward_weight_oracle(&x, &go, &w_dims, &p)
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                // Confirm the premise that some shapes here put a chunk
+                // boundary inside a group.
+                let row_cost = 2 * n * (c_out / g) * oh * oh;
+                let chunk_rows = backward_weight_chunk_rows(c_in * 9, row_cost);
+                if chunk_rows < c_in * 9 && (c_in / g * 9) % chunk_rows != 0 {
+                    split_groups += 1;
+                }
+                for threads in [1, 2, 3, 7] {
+                    let got: Vec<u32> = par::with_threads(threads, || {
+                        conv2d_backward_weight(&x, &go, &w_dims, &p).unwrap()
+                    })
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                    assert_eq!(
+                        got, want,
+                        "n={n} c_in={c_in} c_out={c_out} hw={hw} g={g} \
+                         s={stride} p={padding} threads={threads}"
+                    );
+                }
+            }
+        }
+        assert!(split_groups > 0, "no case splits a group across chunks");
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //!
 //! Bit-compatibility contract: every kernel here reuses the exact compute
 //! cores of the unfused ops (`matmul_impl::gemm*`, the same
-//! `im2col_group` staging and the same per-plane pooling loops), and the
+//! `im2col_rows` staging and the same per-plane pooling loops), and the
 //! epilogue applies bias-then-activation per element in the same order
 //! the layer path applies them as separate passes. Element-wise passes
 //! commute with chunking, so fused output is bit-identical to the
 //! unfused sequence for every thread count.
 
-use crate::ops::conv::{im2col_group, with_col_scratch, Conv2dParams};
+use crate::ops::conv::{im2col_rows, with_col_scratch, Conv2dParams};
 use crate::ops::matmul_impl::{gemm, gemm_a_bt};
 use crate::{par, Result, TensorError};
 
@@ -132,7 +132,7 @@ pub fn linear_bias_act(
 /// * `out` — `[n, c_out, oh, ow]` flattened, fully overwritten.
 ///
 /// Replicates [`conv2d`](crate::ops::conv::conv2d)'s exact decomposition
-/// (same per-image parallel chunking, same `im2col_group` staging, same
+/// (same per-image parallel chunking, same `im2col_rows` staging, same
 /// `gemm` core), then adds the per-channel bias and applies the epilogue
 /// inside each image's disjoint output slice — bit-identical to the
 /// unfused conv → bias → activation sequence for every thread count.
@@ -220,10 +220,8 @@ pub fn conv2d_bias_act(
             let in_img = &input[img * c_in * h * w..(img + 1) * c_in * h * w];
             with_col_scratch(col_rows * col_w, |col| {
                 for grp in 0..g {
-                    im2col_group(
+                    im2col_rows::<false>(
                         in_img,
-                        grp * c_in_g,
-                        c_in_g,
                         h,
                         w,
                         kernel,
@@ -231,6 +229,7 @@ pub fn conv2d_bias_act(
                         params,
                         oh,
                         ow,
+                        grp * col_rows,
                         col,
                     );
                     let w_grp = &weight[grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];

@@ -90,6 +90,11 @@ pub(crate) fn gemm(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n
 /// in quads that reuse each B row four times. Both blockings leave every
 /// C element's accumulation order k-ascending — identical to the naive
 /// i-k-j loop.
+///
+/// Forced inline: with `a_packed_bt_rows` as a third caller the compiler
+/// no longer inlines it into [`gemm`] on its own, which costs serial 192³
+/// matmul about 7 %.
+#[inline(always)]
 fn gemm_rows(ad: &[f32], bd: &[f32], c_rows: &mut [f32], row0: usize, k: usize, n: usize) {
     let rows = c_rows.len() / n;
     let mut k0 = 0;
@@ -227,30 +232,42 @@ fn gemm_a_bt_packed(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, 
             }
         }
         let bt: &[f32] = bt;
-        let run = |c_rows: &mut [f32], row0: usize| {
-            ABT_ACC_SCRATCH.with(|acc_cell| {
-                let mut acc_buf = acc_cell.borrow_mut();
-                if acc_buf.len() < c_rows.len() {
-                    acc_buf.resize(c_rows.len(), 0.0);
-                }
-                let acc = &mut acc_buf[..c_rows.len()];
-                acc.fill(0.0);
-                // Shared dim is n, output width is k: C_chunk = A_chunk · Bᵀ.
-                gemm_rows(ad, bt, acc, row0, n, k);
-                for (cv, &sv) in c_rows.iter_mut().zip(acc.iter()) {
-                    *cv += sv;
-                }
-            });
-        };
         let row_cost = 2 * k * n;
         if !par::worth_parallelising(m * row_cost) {
-            run(cd, 0);
+            a_packed_bt_rows(ad, bt, cd, 0, k, n);
             return;
         }
         let rows_per_chunk = par::chunk_items(m, row_cost);
         par::for_each_chunk_mut(cd, rows_per_chunk * k, |ci, c_rows| {
-            run(c_rows, ci * rows_per_chunk);
+            a_packed_bt_rows(ad, bt, c_rows, ci * rows_per_chunk, k, n);
         });
+    });
+}
+
+/// Serial core of the packed path of [`gemm_a_bt`] for C rows
+/// `row0..row0 + c_rows.len()/k`, with Bᵀ already packed as `bt[n×k]`.
+/// Also called directly by conv backward-weight, which lowers its im2col
+/// rows straight into that packed layout.
+pub(crate) fn a_packed_bt_rows(
+    ad: &[f32],
+    bt: &[f32],
+    c_rows: &mut [f32],
+    row0: usize,
+    k: usize,
+    n: usize,
+) {
+    ABT_ACC_SCRATCH.with(|acc_cell| {
+        let mut acc_buf = acc_cell.borrow_mut();
+        if acc_buf.len() < c_rows.len() {
+            acc_buf.resize(c_rows.len(), 0.0);
+        }
+        let acc = &mut acc_buf[..c_rows.len()];
+        acc.fill(0.0);
+        // Shared dim is n, output width is k: C_chunk = A_chunk · Bᵀ.
+        gemm_rows(ad, bt, acc, row0, n, k);
+        for (cv, &sv) in c_rows.iter_mut().zip(acc.iter()) {
+            *cv += sv;
+        }
     });
 }
 

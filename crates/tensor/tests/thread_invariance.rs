@@ -51,18 +51,29 @@ proptest! {
         assert_thread_invariant("matmul_a_bt", || bits(&ops::matmul_a_bt(&a, &bt).unwrap()));
     }
 
+    /// Strided, padded, grouped and depthwise convs up to 4×8→8×13×13:
+    /// large enough that all three kernels split into several chunks.
     #[test]
     fn conv_family_is_thread_invariant(
         seed in 0u64..1000,
         imgs in 1usize..5,
-        c_in in 1usize..4,
-        c_out in 1usize..4,
-        hw in 3usize..8,
+        c in 1usize..5,
+        c_out_g in 1usize..5,
+        hw in 3usize..14,
+        stride in 1usize..3,
+        padding in 0usize..2,
+        grouping in 0usize..3,
     ) {
+        // grouping: 0 = dense, 1 = two groups, 2 = depthwise (c groups).
+        let (groups, c_in_g) = match grouping {
+            0 => (1, c),
+            1 => (2, c),
+            _ => (c, 1),
+        };
         let mut r = rng::seeded(seed);
-        let p = Conv2dParams::new(1, 1, 1);
-        let x = rng::normal(&[imgs, c_in, hw, hw], 1.0, &mut r);
-        let w = rng::normal(&[c_out, c_in, 3, 3], 1.0, &mut r);
+        let p = Conv2dParams::new(stride, padding, groups);
+        let x = rng::normal(&[imgs, groups * c_in_g, hw, hw], 1.0, &mut r);
+        let w = rng::normal(&[groups * c_out_g, c_in_g, 3, 3], 1.0, &mut r);
         let y = conv2d(&x, &w, &p).unwrap();
         let go = rng::normal(y.dims(), 1.0, &mut r);
 
