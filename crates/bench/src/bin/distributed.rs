@@ -5,8 +5,9 @@
 //! workload, running every cell twice to check bit-reproducibility, then
 //! runs a PowerCut recovery campaign (kill a rank mid-run, measure the
 //! fleet-rollback cost and verify the recovered run is bit-identical to
-//! the uninterrupted one) and a rank-scaling measurement on a larger
-//! replica. Outputs `results/distributed.csv` + `BENCH_distributed.json`.
+//! the uninterrupted one), an exchange-cost cell and a rank-scaling
+//! measurement on a larger replica. Outputs `results/distributed.csv` +
+//! `BENCH_distributed.json`.
 //!
 //! ```text
 //! cargo run --release -p apt-bench --bin distributed            # full sweep
@@ -17,8 +18,10 @@
 //! violation:
 //!
 //! 1. bytes-on-wire: the k = 4, N = 4 exchange moves ≤ 0.2× the fp32 bytes;
-//! 2. determinism: N = 2 runs are bit-identical run-to-run, and the
-//!    1-worker fleet reproduces the single-process trainer to the bit;
+//! 2. determinism: N = 2 runs are bit-identical run-to-run, and so are the
+//!    wide replica's N = 2 and N = 3 runs (N = 3 sums are 6 bits wide and
+//!    straddle words); the 1-worker fleet reproduces the single-process
+//!    trainer to the bit;
 //! 3. zero replica divergence: every step is digest-gated and every cell's
 //!    replicas agree on all replicated state;
 //! 4. recovery: a rank power-cut mid-run rolls back once and finishes
@@ -160,18 +163,27 @@ impl Cell {
     }
 }
 
-fn run_once(world: usize, bits: u32, data: &SynthCifar, ckpt: Option<&Path>) -> (DistReport, f64) {
+/// A replica constructor: [`replica`] or [`wide_replica`].
+type Replica = fn() -> apt_core::Result<Network>;
+
+fn run_once(
+    world: usize,
+    bits: u32,
+    data: &SynthCifar,
+    ckpt: Option<&Path>,
+    net: Replica,
+) -> (DistReport, f64) {
     let t = Instant::now();
-    let report = DistTrainer::new(dist_cfg(world, bits, ckpt), replica)
+    let report = DistTrainer::new(dist_cfg(world, bits, ckpt), net)
         .expect("trainer")
         .train(&data.train, &data.test)
         .expect("training");
     (report, t.elapsed().as_secs_f64() * 1e3)
 }
 
-fn run_cell(world: usize, bits: u32, data: &SynthCifar) -> Cell {
-    let (a, wall_a) = run_once(world, bits, data, None);
-    let (b, wall_b) = run_once(world, bits, data, None);
+fn run_cell(world: usize, bits: u32, data: &SynthCifar, net: Replica) -> Cell {
+    let (a, wall_a) = run_once(world, bits, data, None, net);
+    let (b, wall_b) = run_once(world, bits, data, None, net);
     let ex = a.exchange();
     Cell {
         world,
@@ -188,6 +200,58 @@ fn run_cell(world: usize, bits: u32, data: &SynthCifar) -> Cell {
         digest_checks: ex.digest_checks,
         deterministic: a == b,
         lockstep: a.replicas_in_lockstep(),
+    }
+}
+
+/// The exchange cell: the wide replica at k = 4 on 2 ranks against 1 rank
+/// with the same per-rank batch, so the per-step difference is what the
+/// exchange costs (digest gate, encode, integer reduce, decode, waits).
+struct ExchangeCell {
+    steps: u64,
+    step_ms: f64,
+    compute_step_ms: f64,
+}
+
+impl ExchangeCell {
+    fn exchange_ms_per_step(&self) -> f64 {
+        self.step_ms - self.compute_step_ms
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"replica\":\"wide\",\"world\":2,\"bits\":4,\"steps\":{},\
+             \"step_ms\":{:.3},\"compute_step_ms\":{:.3},\"exchange_ms_per_step\":{:.3}}}",
+            self.steps,
+            self.step_ms,
+            self.compute_step_ms,
+            self.exchange_ms_per_step(),
+        )
+    }
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Medians over alternating 2-rank / 1-rank runs, so host drift hits both
+/// alike.
+fn exchange_cell(data: &SynthCifar) -> ExchangeCell {
+    let cfg = base_cfg(None);
+    let one_steps = (cfg.epochs * data.train.len() / cfg.batch_size) as f64;
+    let (mut two, mut one) = (Vec::new(), Vec::new());
+    let mut steps = 0;
+    for _ in 0..5 {
+        let (report, wall) = run_once(2, 4, data, None, wide_replica);
+        steps = report.exchange().steps;
+        two.push(wall / steps as f64);
+        let (_, wall) = run_once(1, 4, data, None, wide_replica);
+        one.push(wall / one_steps);
+    }
+    ExchangeCell {
+        steps,
+        step_ms: median(two),
+        compute_step_ms: median(one),
     }
 }
 
@@ -284,7 +348,12 @@ fn scaling_wall_ms(world: usize, data: &SynthCifar) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-fn write_outputs(cells: &[Cell], recovery: &[RecoveryCell], scaling: Option<(f64, f64)>) {
+fn write_outputs(
+    cells: &[Cell],
+    recovery: &[RecoveryCell],
+    exchange: Option<&ExchangeCell>,
+    scaling: Option<(f64, f64)>,
+) {
     let header = "kind,world,bits,steps,wall_ms,final_accuracy,bytes_on_wire,\
                   fp32_bytes,wire_ratio,digest_checks,deterministic,lockstep,\
                   recovery_rounds,bit_identical";
@@ -305,9 +374,10 @@ fn write_outputs(cells: &[Cell], recovery: &[RecoveryCell], scaling: Option<(f64
         None => "null".to_string(),
     };
     let json = format!(
-        "{{\n\"available_parallelism\": {},\n\"scaling\": {},\n\"cells\": [\n{}\n],\n\"recovery\": [\n{}\n]\n}}\n",
+        "{{\n\"available_parallelism\": {},\n\"scaling\": {},\n\"exchange\": {},\n\"cells\": [\n{}\n],\n\"recovery\": [\n{}\n]\n}}\n",
         par::default_threads(),
         scaling_json,
+        exchange.map_or("null".to_string(), ExchangeCell::json),
         cells
             .iter()
             .map(|c| format!("  {}", c.json()))
@@ -349,7 +419,7 @@ fn smoke() -> bool {
 
     // Gate 1: bytes on wire at the paper's operating point.
     println!("# smoke gate 1: k=4 N=4 exchange <= 0.2x fp32 bytes");
-    let cell = run_cell(4, 4, &data);
+    let cell = run_cell(4, 4, &data, replica);
     print_cell(&cell);
     if cell.wire_ratio <= 0.2 {
         println!("ok: wire ratio {:.3}", cell.wire_ratio);
@@ -360,20 +430,26 @@ fn smoke() -> bool {
 
     // Gate 2: determinism — N=2 bit-reproducible, world=1 == Trainer.
     println!("# smoke gate 2: bit-reproducible runs, world=1 == single-process");
-    let two = run_cell(2, 4, &data);
+    let two = run_cell(2, 4, &data, replica);
     print_cell(&two);
     let single = Trainer::new(replica().expect("net"), base_cfg(None))
         .expect("trainer")
         .train(&data.train, &data.test)
         .expect("single-process run");
-    let (one, _) = run_once(1, 4, &data, None);
+    let (one, _) = run_once(1, 4, &data, None, replica);
     let one_matches = one.reports.len() == 1 && one.reports[0] == single;
-    if two.deterministic && one_matches {
-        println!("ok: N=2 reproducible, 1-worker fleet bit-identical to Trainer");
+    let wide: Vec<Cell> = [2, 3]
+        .into_iter()
+        .map(|world| run_cell(world, 4, &data, wide_replica))
+        .collect();
+    wide.iter().for_each(print_cell);
+    let wide_ok = wide.iter().all(|c| c.deterministic && c.lockstep);
+    if two.deterministic && one_matches && wide_ok {
+        println!("ok: N=2 and wide N=2/N=3 reproducible, 1-worker fleet bit-identical to Trainer");
     } else {
         println!(
-            "FAIL: deterministic={} one_worker_matches_trainer={}",
-            two.deterministic, one_matches
+            "FAIL: deterministic={} wide_deterministic={} one_worker_matches_trainer={}",
+            two.deterministic, wide_ok, one_matches
         );
         ok = false;
     }
@@ -434,7 +510,7 @@ fn smoke() -> bool {
         None
     };
 
-    write_outputs(&[cell, two], &recovery, scaling);
+    write_outputs(&[cell, two], &recovery, None, scaling);
     ok
 }
 
@@ -443,7 +519,7 @@ fn full_sweep() {
     let mut cells = Vec::new();
     for world in [1usize, 2, 4] {
         for bits in [2u32, 4, 8] {
-            let cell = run_cell(world, bits, &data);
+            let cell = run_cell(world, bits, &data, replica);
             print_cell(&cell);
             cells.push(cell);
         }
@@ -456,6 +532,14 @@ fn full_sweep() {
             r.rank, r.at_step, r.recovery_rounds, r.clean_wall_ms, r.hurt_wall_ms, r.bit_identical
         );
     }
+    let exchange = exchange_cell(&data);
+    println!(
+        "# exchange (wide replica, k=4): {:.3} ms/step at 2 ranks, {:.3} ms/step at 1 \
+         -> {:.3} ms exchange per step",
+        exchange.step_ms,
+        exchange.compute_step_ms,
+        exchange.exchange_ms_per_step()
+    );
     let scaling = if par::default_threads() >= 4 {
         let w1 = scaling_wall_ms(1, &data);
         let w4 = scaling_wall_ms(4, &data);
@@ -471,7 +555,7 @@ fn full_sweep() {
         );
         None
     };
-    write_outputs(&cells, &recovery, scaling);
+    write_outputs(&cells, &recovery, Some(&exchange), scaling);
 }
 
 fn main() {

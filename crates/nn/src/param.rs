@@ -534,9 +534,7 @@ impl Param {
         match &self.store {
             ParamStore::Float(t) => {
                 h.write_u8(0);
-                for &v in t.data() {
-                    h.write_u32(v.to_bits());
-                }
+                h.write_f32s(t.data());
             }
             ParamStore::Quantized(q) => {
                 h.write_u8(1);
@@ -550,16 +548,12 @@ impl Param {
             ParamStore::MasterCopy { master, bits } => {
                 h.write_u8(2);
                 h.write_u32(bits.get());
-                for &v in master.data() {
-                    h.write_u32(v.to_bits());
-                }
+                h.write_f32s(master.data());
             }
             ParamStore::Projected { master, projection } => {
                 h.write_u8(3);
                 h.write_u8(projection.view_bits() as u8);
-                for &v in master.data() {
-                    h.write_u32(v.to_bits());
-                }
+                h.write_f32s(master.data());
             }
             ParamStore::PerChannel(pc) => {
                 h.write_u8(4);
@@ -573,9 +567,7 @@ impl Param {
             None => h.write_u8(0),
             Some(v) => {
                 h.write_u8(1);
-                for &x in v.data() {
-                    h.write_u32(x.to_bits());
-                }
+                h.write_f32s(v.data());
             }
         }
         h.finish()
@@ -694,9 +686,13 @@ impl Param {
     }
 }
 
-/// Incremental 64-bit FNV-1a hasher (offset basis `0xcbf29ce484222325`,
-/// prime `0x100000001b3`) — small, dependency-free, and sensitive to every
-/// input bit, which is all an SEU detector needs.
+/// Incremental 64-bit FNV-1a-style hasher (offset basis
+/// `0xcbf29ce484222325`, prime `0x100000001b3`) that folds one xor-multiply
+/// per input word rather than per byte. Each step `h ← (h ^ w)·p` is a
+/// bijection of `h` for fixed `w` and of `w` for fixed `h` (the prime is
+/// odd), so any single changed word — in particular any single flipped
+/// bit — changes the final digest, which is all an SEU detector needs.
+/// Digests are only ever compared in memory, never persisted.
 #[derive(Debug, Clone)]
 struct Fnv1a(u64);
 
@@ -711,14 +707,23 @@ impl Fnv1a {
     }
 
     fn write_u32(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.write_u8(b);
-        }
+        self.write_u64(u64::from(word));
     }
 
     fn write_u64(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.write_u8(b);
+        self.0 ^= word;
+        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+    }
+
+    /// Folds fp32 values by bit pattern, two to a word.
+    fn write_f32s(&mut self, values: &[f32]) {
+        let pairs = values.chunks_exact(2);
+        let rest = pairs.remainder();
+        for p in pairs {
+            self.write_u64(u64::from(p[0].to_bits()) | u64::from(p[1].to_bits()) << 32);
+        }
+        for v in rest {
+            self.write_u32(v.to_bits());
         }
     }
 

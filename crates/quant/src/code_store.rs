@@ -95,6 +95,101 @@ pub fn set_store_backend(backend: StoreBackend) {
     FORCED.store(v, Ordering::Relaxed);
 }
 
+/// Codes per packing chunk: 64 `k`-bit fields fill exactly `k` words, so
+/// every chunk of a payload starts on a word boundary and chunks pack and
+/// unpack independently.
+const PACK_CHUNK: usize = 64;
+
+/// Repeats `$body` for `$j` = 0, 1, …, 63 as straight-line code, so that
+/// with a const width every field's word index and shift are constants.
+macro_rules! for_each_field {
+    ($j:ident => $body:block) => {
+        for_each_field!(@ $j => $body; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20
+            21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47
+            48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63)
+    };
+    (@ $j:ident => $body:block; $($n:literal)*) => {
+        $( { let $j: usize = $n; $body } )*
+    };
+}
+
+/// Calls `$f::<K>(args…)` with the const `K` equal to the runtime width
+/// `$k` (a validated [`Bitwidth`], so always in `[2, 32]`).
+macro_rules! with_width {
+    ($k:expr, $f:ident $args:tt) => {
+        with_width!(@ $k, $f $args; 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21
+            22 23 24 25 26 27 28 29 30 31 32)
+    };
+    (@ $k:expr, $f:ident $args:tt; $($n:literal)*) => {
+        match $k {
+            $($n => $f::<$n> $args,)*
+            _ => unreachable!("Bitwidth is validated to [2, 32]"),
+        }
+    };
+}
+
+/// Packs `codes[..n]` (the fields past `n` must be zero, which keeps the
+/// trailing bits zero) at `bits` and appends the `⌈n·k/64⌉` words they
+/// occupy. Kept out of line: the one copy of the per-width code.
+#[inline(never)]
+fn pack_chunk(bits: Bitwidth, codes: &[i32; PACK_CHUNK], n: usize, out: &mut Vec<u64>) {
+    // k words of fields plus one word the last field may spill into.
+    let mut words = [0u64; 33];
+    with_width!(bits.get(), pack_fields(codes, &mut words));
+    out.extend_from_slice(&words[..(n * bits.get() as usize).div_ceil(64)]);
+}
+
+fn pack_fields<const K: usize>(codes: &[i32; PACK_CHUNK], words: &mut [u64; 33]) {
+    let mask = (1u64 << K) - 1;
+    for_each_field!(j => {
+        let bit = j * K;
+        let field = codes[j] as u64 & mask;
+        words[bit / 64] |= field << (bit % 64);
+        if bit % 64 + K > 64 {
+            words[bit / 64 + 1] |= field >> (64 - bit % 64);
+        }
+    });
+}
+
+/// Sign-extends the 64 fields of one chunk at `bits` (at most `k` words;
+/// missing words read as zero). Kept out of line like [`pack_chunk`].
+#[inline(never)]
+fn unpack_chunk(bits: Bitwidth, chunk: &[u64], codes: &mut [i32; PACK_CHUNK]) {
+    let mut words = [0u64; 33];
+    words[..chunk.len()].copy_from_slice(chunk);
+    with_width!(bits.get(), unpack_fields(&words, codes));
+}
+
+fn unpack_fields<const K: usize>(words: &[u64; 33], codes: &mut [i32; PACK_CHUNK]) {
+    let shift = 64 - K as u32;
+    for_each_field!(j => {
+        let bit = j * K;
+        let mut field = words[bit / 64] >> (bit % 64);
+        if bit % 64 + K > 64 {
+            field |= words[bit / 64 + 1] << (64 - bit % 64);
+        }
+        codes[j] = (((field << shift) as i64) >> shift) as i32;
+    });
+}
+
+/// Appends the packed data words of `len` signed codes at `bits`. The
+/// codes are produced [`PACK_CHUNK`] at a time by `fill(first, chunk)`,
+/// which must write in-range codes for indices `first..first + chunk.len()`.
+pub(crate) fn pack_with(
+    bits: Bitwidth,
+    len: usize,
+    mut fill: impl FnMut(usize, &mut [i32]),
+    out: &mut Vec<u64>,
+) {
+    let mut codes = [0i32; PACK_CHUNK];
+    for first in (0..len).step_by(PACK_CHUNK) {
+        let n = (len - first).min(PACK_CHUNK);
+        fill(first, &mut codes[..n]);
+        codes[n..].fill(0);
+        pack_chunk(bits, &codes, n, out);
+    }
+}
+
 /// `k`-bit signed codes packed end-to-end into little-endian `u64` words.
 ///
 /// Element `i` occupies bits `[i·k, i·k + k)` of the word stream; the
@@ -239,6 +334,15 @@ impl PackedCodes {
     /// in-range bit pattern decodes to a valid field, so no per-element
     /// validation is needed.
     pub fn from_data_words(words: Vec<u64>, len: usize, bits: Bitwidth) -> crate::Result<Self> {
+        Self::check_data_words(&words, len, bits)?;
+        let mut words = words;
+        words.push(0);
+        Ok(PackedCodes { words, len, bits })
+    }
+
+    /// The word-count and padding validation behind
+    /// [`from_data_words`](Self::from_data_words).
+    fn check_data_words(words: &[u64], len: usize, bits: Bitwidth) -> crate::Result<()> {
         if words.len() != Self::data_word_count(len, bits) {
             return Err(QuantError::CorruptStore {
                 reason: "packed word count disagrees with the logical length",
@@ -254,9 +358,83 @@ impl PackedCodes {
                 }
             }
         }
-        let mut words = words;
-        words.push(0);
-        Ok(PackedCodes { words, len, bits })
+        Ok(())
+    }
+
+    /// Validates serialised data words exactly like
+    /// [`from_data_words`](Self::from_data_words), then hands the `len`
+    /// sign-extended codes to `f` 64 at a time (fewer in the last chunk),
+    /// together with the index of each chunk's first code — the store is
+    /// never built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::CorruptStore`] (before calling `f`) on a word
+    /// count / padding mismatch.
+    pub fn decode_data_words(
+        words: &[u64],
+        len: usize,
+        bits: Bitwidth,
+        mut f: impl FnMut(usize, &[i32]),
+    ) -> crate::Result<()> {
+        Self::check_data_words(words, len, bits)?;
+        let mut codes = [0i32; PACK_CHUNK];
+        for (c, chunk) in words.chunks(bits.get() as usize).enumerate() {
+            unpack_chunk(bits, chunk, &mut codes);
+            let first = c * PACK_CHUNK;
+            f(first, &codes[..(len - first).min(PACK_CHUNK)]);
+        }
+        Ok(())
+    }
+
+    /// The integer reduce on packed words: validates each of `payloads`
+    /// (`len` codes at `bits`) like [`from_data_words`](Self::from_data_words),
+    /// adds them element-wise, and appends the sums packed at `sum_bits` to
+    /// `out` — one pass, 64 codes at a time, with no unpacked buffer. The
+    /// appended words equal `from_signed(sums, sum_bits).data_words()`.
+    ///
+    /// Any sum of `P` codes fits `sum_bits` when `P ≤ 2^(sum_bits − bits)`
+    /// (the symmetric gradient codes of [`crate::GradCodec`] never reach
+    /// `−2^(bits−1)`, but a hostile payload may), so that bound is the
+    /// range check, made once up front.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::CorruptStore`] (and appends nothing) on a
+    /// payload's word count / padding mismatch, or when the sums could
+    /// leave the `sum_bits` range.
+    pub fn sum_data_words(
+        payloads: &[&[u64]],
+        len: usize,
+        bits: Bitwidth,
+        sum_bits: Bitwidth,
+        out: &mut Vec<u64>,
+    ) -> crate::Result<()> {
+        let (k, ks) = (bits.get(), sum_bits.get());
+        if ks < k || payloads.len() > 1 << (ks - k) {
+            return Err(QuantError::CorruptStore {
+                reason: "integer sum could leave the sum width's two's-complement range",
+            });
+        }
+        for p in payloads {
+            Self::check_data_words(p, len, bits)?;
+        }
+        let k = k as usize;
+        out.reserve(Self::data_word_count(len, sum_bits));
+        let (mut codes, mut sums) = ([0i32; PACK_CHUNK], [0i32; PACK_CHUNK]);
+        for (c, first) in (0..len).step_by(PACK_CHUNK).enumerate() {
+            sums.fill(0);
+            for p in payloads {
+                let chunk = &p[c * k..((c + 1) * k).min(p.len())];
+                unpack_chunk(bits, chunk, &mut codes);
+                for (s, &x) in sums.iter_mut().zip(&codes) {
+                    *s += x;
+                }
+            }
+            let n = (len - first).min(PACK_CHUNK);
+            pack_chunk(sum_bits, &sums, n, out);
+        }
+        Ok(())
     }
 
     /// Physical bytes held by this store (data words plus the one padding
@@ -514,11 +692,11 @@ impl CodeStore {
             }
             Repr::I8(v) => {
                 for chunk in v.chunks(8) {
-                    let mut w = 0u64;
-                    for (j, &c) in chunk.iter().enumerate() {
-                        w |= u64::from(c as u8) << (8 * j);
+                    let mut bytes = [0u8; 8];
+                    for (b, &c) in bytes.iter_mut().zip(chunk) {
+                        *b = c as u8;
                     }
-                    f(w);
+                    f(u64::from_le_bytes(bytes));
                 }
             }
             Repr::I16(v) => {
@@ -613,6 +791,65 @@ mod tests {
         // Clean words round-trip.
         let re = PackedCodes::from_data_words(p.data_words().to_vec(), 3, b(5)).unwrap();
         assert_eq!(re, p);
+    }
+
+    /// Random valid payload words: `len` arbitrary `k`-bit fields, padding
+    /// zero.
+    fn random_payload(len: usize, k: u32, r: &mut impl Rng) -> Vec<u64> {
+        let half = 1i64 << (k - 1);
+        let codes: Vec<i64> = (0..len).map(|_| r.gen_range(-half..half)).collect();
+        PackedCodes::from_signed(&codes, b(k))
+            .unwrap()
+            .data_words()
+            .to_vec()
+    }
+
+    #[test]
+    fn packed_word_sums_equal_unpacked_sums_for_any_payload() {
+        let mut r = rng::seeded(41);
+        for k in 2..=30u32 {
+            for count in 1..=4usize {
+                let ks = b(k + usize::BITS - (count.next_power_of_two() - 1).leading_zeros());
+                let len = r.gen_range(1..300usize);
+                let payloads: Vec<Vec<u64>> =
+                    (0..count).map(|_| random_payload(len, k, &mut r)).collect();
+                let mut exact = vec![0i64; len];
+                for p in &payloads {
+                    let codes = PackedCodes::from_data_words(p.clone(), len, b(k)).unwrap();
+                    for (e, c) in exact.iter_mut().zip(codes.to_signed_vec()) {
+                        *e += c;
+                    }
+                }
+                let views: Vec<&[u64]> = payloads.iter().map(Vec::as_slice).collect();
+                let mut out = vec![9u64];
+                PackedCodes::sum_data_words(&views, len, b(k), ks, &mut out).unwrap();
+                let want = PackedCodes::from_signed(&exact, ks).unwrap();
+                assert_eq!(&out[1..], want.data_words(), "k={k} count={count}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_word_sums_refuse_bad_payloads_and_overflowing_counts() {
+        let mut r = rng::seeded(42);
+        let good = random_payload(37, 4, &mut r);
+        let mut padded = good.clone();
+        *padded.last_mut().unwrap() |= 1 << 63;
+        let short = &good[..good.len() - 1];
+        let sum = |payloads: &[&[u64]], ks: u32, out: &mut Vec<u64>| {
+            PackedCodes::sum_data_words(payloads, 37, b(4), b(ks), out)
+        };
+        let mut out = vec![9u64];
+        assert!(sum(&[&good, short], 5, &mut out).is_err());
+        assert!(sum(&[&good, &padded], 5, &mut out).is_err());
+        // Three 4-bit payloads may sum to −24, outside 5 bits.
+        assert!(sum(&[&good, &good, &good], 5, &mut out).is_err());
+        assert!(
+            sum(&[&good], 3, &mut out).is_err(),
+            "narrower than the codes"
+        );
+        assert_eq!(out, vec![9], "a refused sum appends nothing");
+        assert!(sum(&[&good, &good, &good], 6, &mut out).is_ok());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Data-parallel ranks cannot afford to ship fp32 gradients: a replica
 //! exchange costs `32N` bits per step per peer. This module encodes a
 //! gradient tensor as **symmetric `k`-bit signed codes on a shared scale**,
-//! stored in the same [`CodeStore`] tiers the weights use and serialised
-//! through the canonical [`PackedCodes`] words, so `k = 4` traffic really
-//! is one eighth of fp32 on the wire.
+//! written straight into the canonical [`PackedCodes`](crate::PackedCodes)
+//! data words, so
+//! `k = 4` traffic really is one eighth of fp32 on the wire.
 //!
 //! ## Encoding
 //!
@@ -18,12 +18,27 @@
 //! s = gmax / (2^(k−1) − 1)
 //! ```
 //!
-//! and encodes `c = clamp(round((g + r) / s), −m, m)` with `m = 2^(k−1)−1`.
-//! The clamp range is symmetric — the pattern `−2^(k−1)` is never
-//! produced — so a sum of `N` rank codes is bounded by `N·m` and fits
-//! exactly in `k + ceil(log2 N)` bits: the reduce can stay in the integer
-//! domain (DQT-style) with **no rounding and no overflow**, which is what
-//! makes the reduction bit-exact regardless of arrival order.
+//! and encodes `c = clamp(round((g + r) / s), −m, m)` with `m = 2^(k−1)−1`
+//! and `round` half away from zero. The clamp range is symmetric — the
+//! pattern `−2^(k−1)` is never produced — so a sum of `N` rank codes is
+//! bounded by `N·m` and fits exactly in `k + ceil(log2 N)` bits: the
+//! reduce can stay in the integer domain (DQT-style) with **no rounding
+//! and no overflow**, which is what makes the reduction bit-exact
+//! regardless of arrival order.
+//!
+//! ## The hot path
+//!
+//! One quantiser serves both encoders: a branch-free loop (non-finite
+//! inputs and a zero scale are lane selects, rounding is
+//! truncate-and-compare in f64 rather than a libm `roundf` call and a
+//! saturating cast) that writes `i32` codes. [`GradCodec::encode_words`]
+//! runs it 64 elements at a time and packs each chunk into exactly `k`
+//! words appended to a caller-owned buffer, so encoding a gradient
+//! allocates nothing and touches each element once. The words are, word
+//! for word, what `PackedCodes::from_signed(codes, k).data_words()` would
+//! hold; the receiving side sums and unpacks them chunk-wise with
+//! [`PackedCodes::sum_data_words`](crate::PackedCodes::sum_data_words) and
+//! [`PackedCodes::decode_data_words`](crate::PackedCodes::decode_data_words).
 //!
 //! ## Error feedback
 //!
@@ -32,12 +47,13 @@
 //! lost, it is just delayed. The residual state lives with the caller —
 //! one `Vec<f32>` per parameter per rank.
 
-use crate::{Bitwidth, CodeStore, PackedCodes};
+use crate::code_store::pack_with;
+use crate::{Bitwidth, CodeStore};
 
 /// Shared-scale symmetric `k`-bit gradient quantiser.
 ///
 /// Stateless: the per-parameter error-feedback residual is owned by the
-/// caller and threaded through [`encode`](GradCodec::encode).
+/// caller and threaded through every encode call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GradCodec {
     bits: Bitwidth,
@@ -83,32 +99,78 @@ impl GradCodec {
         Bitwidth::new(self.bits.get() + extra)
     }
 
+    /// The one quantiser behind both encoders: writes the signed codes of
+    /// `grad + residual` to `codes` and the error feedback into `residual`.
+    #[inline]
+    fn quantise(&self, grad: &[f32], residual: &mut [f32], scale: f32, codes: &mut [i32]) {
+        debug_assert!(grad.len() == residual.len() && grad.len() == codes.len());
+        // f64 holds every f32 and every code exactly, and adding 2^52 to a
+        // non-negative f64 below 2^52 rounds it to an integer held in the
+        // low mantissa bits: rounding and the float → int conversion need
+        // neither libm nor a saturating cast, so the loop vectorises.
+        const MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
+        let m = self.max_mag() as f64;
+        let live = scale > 0.0;
+        for ((&g, r), c) in grad.iter().zip(residual.iter_mut()).zip(codes.iter_mut()) {
+            let a = g + *r;
+            let x = if live && a.is_finite() {
+                a / scale
+            } else {
+                0.0
+            };
+            // Clamping the magnitude before rounding is the same as after:
+            // m is an integer.
+            let y = f64::from(x.abs());
+            let y = if y > m { m } else { y };
+            // Truncate and compare: round half away from zero.
+            let t = (y + MAGIC) - MAGIC; // nearest integer, ties to even
+            let t = if t > y { t - 1.0 } else { t }; // trunc(y)
+            let y = if y - t >= 0.5 { t + 1.0 } else { t };
+            let q = ((y + MAGIC).to_bits() - MAGIC.to_bits()) as i32;
+            let q = if x < 0.0 { -q } else { q };
+            *r = a - q as f32 * scale;
+            *c = q;
+        }
+    }
+
     /// Quantises `grad + residual` onto the shared `scale` grid, updating
-    /// `residual` with the error feedback. Returns the codes in a
-    /// [`CodeStore`] (process-backend tiering, like every other store).
+    /// `residual` with the error feedback, and appends the codes to `out`
+    /// as packed `k`-bit data words — the exchange's uplink payload for one
+    /// parameter. The appended words equal
+    /// `PackedCodes::from_signed(codes, k).data_words()`.
     ///
-    /// A `scale` of `0.0` produces all-zero codes and banks the entire
-    /// input into the residual.
+    /// A `scale` that is not positive, and any non-finite `grad + residual`
+    /// entry, produce code 0 and bank the whole input into the residual.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts `grad.len() == residual.len()`.
+    pub fn encode_words(&self, grad: &[f32], residual: &mut [f32], scale: f32, out: &mut Vec<u64>) {
+        debug_assert_eq!(grad.len(), residual.len());
+        out.reserve((grad.len() * self.bits.get() as usize).div_ceil(64));
+        pack_with(
+            self.bits,
+            grad.len(),
+            |first, codes| {
+                let at = first..first + codes.len();
+                self.quantise(&grad[at.clone()], &mut residual[at], scale, codes);
+            },
+            out,
+        );
+    }
+
+    /// Quantises `grad + residual` exactly like
+    /// [`encode_words`](Self::encode_words), but returns the codes in a
+    /// [`CodeStore`] (process-backend tiering, like every other store).
     ///
     /// # Panics
     ///
     /// Debug-asserts `grad.len() == residual.len()`.
     pub fn encode(&self, grad: &[f32], residual: &mut [f32], scale: f32) -> CodeStore {
-        debug_assert_eq!(grad.len(), residual.len());
-        let m = self.max_mag();
+        let mut codes = vec![0i32; grad.len()];
+        self.quantise(grad, residual, scale, &mut codes);
         let half = 1i64 << (self.bits.get() - 1);
-        let mut raw = vec![0i64; grad.len()];
-        for (i, (&g, r)) in grad.iter().zip(residual.iter_mut()).enumerate() {
-            let a = g + *r;
-            let c = if scale > 0.0 && a.is_finite() {
-                let q = (a / scale).round() as i64;
-                q.clamp(-m, m)
-            } else {
-                0
-            };
-            *r = a - c as f32 * scale;
-            raw[i] = c + half;
-        }
+        let raw: Vec<i64> = codes.iter().map(|&c| i64::from(c) + half).collect();
         CodeStore::from_codes(&raw, self.bits)
     }
 
@@ -119,35 +181,12 @@ impl GradCodec {
             .map(|i| (store.get(i) - half) as f32 * scale)
             .collect()
     }
-
-    /// Signed codes of a store produced by [`encode`](GradCodec::encode) —
-    /// the integer-domain values peers accumulate.
-    pub fn signed_codes(&self, store: &CodeStore) -> Vec<i64> {
-        let half = 1i64 << (self.bits.get() - 1);
-        (0..store.len()).map(|i| store.get(i) - half).collect()
-    }
-
-    /// Serialises a store to its canonical wire words (backend-independent
-    /// [`PackedCodes`] data words).
-    pub fn to_wire(&self, store: &CodeStore) -> Vec<u64> {
-        store.to_packed().data_words().to_vec()
-    }
-
-    /// Deserialises wire words back into signed codes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::QuantError::CorruptStore`] on a word count / padding
-    /// mismatch.
-    pub fn from_wire(&self, words: Vec<u64>, len: usize) -> crate::Result<Vec<i64>> {
-        Ok(PackedCodes::from_data_words(words, len, self.bits)?.to_signed_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StoreBackend;
+    use crate::{PackedCodes, StoreBackend};
     use apt_tensor::rng;
     use proptest::prelude::*;
     use rand::Rng;
@@ -156,14 +195,85 @@ mod tests {
         Bitwidth::new(k).unwrap()
     }
 
+    /// Signed codes of `grad + residual`, through the quantiser.
+    fn codes_of(codec: &GradCodec, grad: &[f32], residual: &mut [f32], scale: f32) -> Vec<i32> {
+        let mut codes = vec![0i32; grad.len()];
+        codec.quantise(grad, residual, scale, &mut codes);
+        codes
+    }
+
+    /// Every code the words hold, sign-extended.
+    fn decode_words(words: &[u64], len: usize, bits: Bitwidth) -> Vec<i32> {
+        let mut out = Vec::with_capacity(len);
+        PackedCodes::decode_data_words(words, len, bits, |base, codes| {
+            assert_eq!(base, out.len());
+            out.extend_from_slice(codes);
+        })
+        .unwrap();
+        out
+    }
+
     #[test]
     fn zero_scale_banks_everything_into_residual() {
         let codec = GradCodec::new(b(4));
         let grad = [0.5f32, -0.25, 1.0];
         let mut residual = vec![0.0f32; 3];
-        let store = codec.encode(&grad, &mut residual, 0.0);
-        assert_eq!(codec.signed_codes(&store), vec![0, 0, 0]);
+        assert_eq!(codes_of(&codec, &grad, &mut residual, 0.0), vec![0, 0, 0]);
         assert_eq!(residual, grad);
+    }
+
+    #[test]
+    fn non_finite_inputs_give_code_zero_and_keep_the_residual() {
+        let codec = GradCodec::new(b(4));
+        let grad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.5];
+        let mut residual = vec![0.0f32; 4];
+        let codes = codes_of(&codec, &grad, &mut residual, 0.25);
+        assert_eq!(codes, vec![0, 0, 0, 2]);
+        assert!(residual[0].is_nan());
+        assert_eq!(&residual[1..3], &[f32::INFINITY, f32::NEG_INFINITY]);
+    }
+
+    #[test]
+    fn rounding_is_half_away_from_zero_like_f32_round() {
+        // The truncate-and-compare rounding must agree with `f32::round`
+        // on ties, near-ties, large magnitudes and the clamp rails.
+        let below_half = f32::from_bits(0.5f32.to_bits() - 1);
+        let mut xs = vec![
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            below_half,
+            -below_half,
+            6.5,
+            -6.5,
+            6.49,
+            7.5,
+            -7.5,
+            8.0,
+            1e9,
+            -1e9,
+            3.0e38,
+            -3.0e38,
+        ];
+        let mut r = rng::seeded(3);
+        xs.extend((0..2000).map(|_| r.gen_range(-9.0f32..9.0)));
+        for k in [2u32, 4, 8, 16, 24, 25, 26, 31, 32] {
+            let codec = GradCodec::new(b(k));
+            let m = codec.max_mag();
+            let mut residual = vec![0.0f32; xs.len()];
+            let codes = codes_of(&codec, &xs, &mut residual, 1.0);
+            for ((&x, &c), &res) in xs.iter().zip(&codes).zip(&residual) {
+                let a = x + 0.0; // what grad + residual sums to
+                let want = (a.round() as i64).clamp(-m, m);
+                assert_eq!(i64::from(c), want, "k={k} x={x}");
+                assert_eq!(res.to_bits(), (a - want as f32).to_bits(), "k={k} x={x}");
+            }
+        }
     }
 
     #[test]
@@ -218,14 +328,37 @@ mod tests {
         let codec = GradCodec::new(b(2)); // m = 1
         let grad = [10.0f32, -10.0];
         let mut residual = vec![0.0f32; 2];
-        let store = codec.encode(&grad, &mut residual, codec.scale(1.0));
-        assert_eq!(codec.signed_codes(&store), vec![1, -1]);
+        let codes = codes_of(&codec, &grad, &mut residual, codec.scale(1.0));
+        assert_eq!(codes, vec![1, -1]);
         // The clamped mass is all in the residual.
         assert_eq!(residual, vec![9.0, -9.0]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The word encoder writes exactly the canonical packed words of
+        /// the codes the quantiser produces, and leaves the same residual.
+        #[test]
+        fn encoded_words_equal_the_canonical_packed_words(
+            seed in 0u64..500,
+            k in 2u32..=16,
+            n in 1usize..200,
+        ) {
+            let codec = GradCodec::new(b(k));
+            let mut r = rng::seeded(seed);
+            let grad: Vec<f32> = (0..n).map(|_| r.gen_range(-2.0f32..2.0)).collect();
+            let scale = codec.scale(1.5);
+            let mut res_codes = vec![0.0f32; n];
+            let codes = codes_of(&codec, &grad, &mut res_codes, scale);
+            let signed: Vec<i64> = codes.iter().map(|&c| i64::from(c)).collect();
+            let canonical = PackedCodes::from_signed(&signed, b(k)).unwrap();
+            let mut res_words = vec![0.0f32; n];
+            let mut words = vec![u64::MAX]; // appends after existing words
+            codec.encode_words(&grad, &mut res_words, scale, &mut words);
+            prop_assert_eq!(&words[1..], canonical.data_words());
+            prop_assert_eq!(res_words, res_codes);
+        }
 
         /// Roundtrip across every exchange bitwidth and both store
         /// backends: wire words decode to the exact signed codes that were
@@ -241,35 +374,28 @@ mod tests {
             let grad: Vec<f32> = (0..n).map(|_| r.gen_range(-2.0f32..2.0)).collect();
             let gmax = grad.iter().fold(0.0f32, |m, v| m.max(v.abs()));
             let scale = codec.scale(gmax);
-            let mut stores = Vec::new();
+            let mut residual = vec![0.0f32; n];
+            let mut wire = Vec::new();
+            codec.encode_words(&grad, &mut residual, scale, &mut wire);
+            // Physical wire width is the packed k-bit footprint.
+            prop_assert_eq!(wire.len(), (n * k as usize).div_ceil(64));
+            let codes = decode_words(&wire, n, b(k));
+            // Stores of the same codes serialise to the same words under
+            // every backend.
+            let half = 1i64 << (k - 1);
+            let raw: Vec<i64> = codes.iter().map(|&c| i64::from(c) + half).collect();
             for backend in [StoreBackend::Tiered, StoreBackend::I64] {
-                // encode() uses the process backend; rebuild per backend
-                // from the same codes to pin backend independence.
-                let mut residual = vec![0.0f32; n];
-                let tiered = codec.encode(&grad, &mut residual, scale);
-                let raw: Vec<i64> = (0..tiered.len()).map(|i| tiered.get(i)).collect();
-                stores.push(CodeStore::with_backend(backend, &raw, b(k)));
-            }
-            let codes = codec.signed_codes(&stores[0]);
-            prop_assert_eq!(&codec.signed_codes(&stores[1]), &codes);
-            for store in &stores {
-                let wire = codec.to_wire(store);
-                let back = codec.from_wire(wire.clone(), n).unwrap();
-                prop_assert_eq!(&back, &codes);
-                // Physical wire width is the packed k-bit footprint.
-                prop_assert_eq!(
-                    wire.len(),
-                    (n * k as usize).div_ceil(64)
-                );
+                let store = CodeStore::with_backend(backend, &raw, b(k));
+                let packed = store.to_packed();
+                prop_assert_eq!(packed.data_words(), &wire[..]);
             }
             // Every code obeys the symmetric bound.
-            let m = codec.max_mag();
+            let m = codec.max_mag() as i32;
             prop_assert!(codes.iter().all(|&c| -m <= c && c <= m));
         }
 
-        /// Decode of the integer sum equals the mean gradient every rank
-        /// applies: integer accumulation introduces no error beyond the
-        /// per-rank quantisation already banked in residuals.
+        /// The packed-word sum of every rank's codes equals their exact
+        /// sum, packed canonically at the widened sum width.
         #[test]
         fn integer_sum_is_exact(
             seed in 0u64..200,
@@ -277,26 +403,27 @@ mod tests {
             world in 1usize..5,
         ) {
             let codec = GradCodec::new(b(k));
-            let n = 37usize;
+            let n = 137usize;
             let mut r = rng::seeded(seed);
-            let mut sum = vec![0i64; n];
-            let mut per_rank = Vec::new();
+            let mut payloads = Vec::new();
+            let mut exact = vec![0i64; n];
             for _ in 0..world {
                 let grad: Vec<f32> = (0..n).map(|_| r.gen_range(-1.0f32..1.0)).collect();
-                let mut residual = vec![0.0f32; n];
-                let store = codec.encode(&grad, &mut residual, codec.scale(1.0));
-                let codes = codec.signed_codes(&store);
-                for (s, c) in sum.iter_mut().zip(&codes) {
-                    *s += c;
+                let mut words = Vec::new();
+                codec.encode_words(&grad, &mut vec![0.0f32; n], codec.scale(1.0), &mut words);
+                for (e, c) in exact.iter_mut().zip(decode_words(&words, n, b(k))) {
+                    *e += i64::from(c);
                 }
-                per_rank.push(codes);
+                payloads.push(words);
             }
             let ks = codec.sum_bits(world).unwrap();
-            // The sum fits the widened range and survives its own wire trip.
-            let packed = PackedCodes::from_signed(&sum, ks).unwrap();
-            let back = PackedCodes::from_data_words(
-                packed.data_words().to_vec(), n, ks).unwrap();
-            prop_assert_eq!(back.to_signed_vec(), sum);
+            let payloads: Vec<&[u64]> = payloads.iter().map(Vec::as_slice).collect();
+            let mut down = Vec::new();
+            PackedCodes::sum_data_words(&payloads, n, b(k), ks, &mut down).unwrap();
+            let canonical = PackedCodes::from_signed(&exact, ks).unwrap();
+            prop_assert_eq!(&down[..], canonical.data_words());
+            let sums: Vec<i64> = decode_words(&down, n, ks).into_iter().map(i64::from).collect();
+            prop_assert_eq!(sums, exact);
         }
     }
 }
